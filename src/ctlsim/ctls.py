@@ -29,7 +29,7 @@ __all__ = [
     "bright_state",
 ]
 
-RabiFunction = Callable[[float], complex]
+RabiFunction = Callable[[np.ndarray], np.ndarray | complex]
 
 _TRANSITIONS = ((1, 2), (2, 3), (1, 3))
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -47,14 +47,14 @@ class DriveField:
     """One classical field driving the (n, m) transition, m > n.
 
     ``rabi`` is the complex coupling amplitude in rad/s as a function of
-    time in seconds. ``frequency`` is carried for bookkeeping only; the
-    dynamics depend on it through ``detuning`` alone.
+    time in seconds. It takes a scalar or an array of times and returns a
+    value of the same shape; a time-independent amplitude may return a
+    scalar for any input, which callers broadcast.
     """
 
     transition: tuple[int, int]
     rabi: RabiFunction
     detuning: float = 0.0
-    frequency: float = 0.0
 
     def __post_init__(self) -> None:
         n, m = self.transition
@@ -69,7 +69,6 @@ def constant_drive(
     transition: tuple[int, int],
     amplitude: complex,
     detuning: float = 0.0,
-    frequency: float = 0.0,
 ) -> DriveField:
     """Drive with a time-independent amplitude."""
     value = complex(amplitude)
@@ -77,7 +76,6 @@ def constant_drive(
         transition=transition,
         rabi=lambda t: value,
         detuning=detuning,
-        frequency=frequency,
     )
 
 
@@ -133,7 +131,6 @@ def _negated(field: DriveField) -> DriveField:
         transition=field.transition,
         rabi=lambda t: -base(t),
         detuning=field.detuning,
-        frequency=field.frequency,
     )
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .ctls import (
     Chirality,
@@ -42,6 +41,7 @@ __all__ = [
 _SHAPES = ("rectangular", "gaussian", "sin_squared")
 _SQ2 = 1.0 / math.sqrt(2.0)
 _AREA_TOL = 1e-8  # radians
+_CHUNK = 1024  # midpoints per batched eigh in propagate; bounds its memory
 
 DEFAULT_PEAK_RAD_S = 2.0 * np.pi * 1.25e6  # 100 ns quarter pulse
 
@@ -80,15 +80,19 @@ class PulseEnvelope:
             if self.width <= 0.0:
                 raise ValueError(f"gaussian width must be > 0, got {self.width}")
 
-    def __call__(self, t: float) -> float:
-        if not self.t_start <= t <= self.t_end:
-            return 0.0
+    def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Envelope at time ``t``: a float for a scalar, an array of the
+        same shape for an array of times."""
+        times = np.asarray(t, dtype=float)
         if self.shape == "rectangular":
-            return self.peak
-        if self.shape == "gaussian":
-            return self.peak * math.exp(-((t - self.center) ** 2) / (2.0 * self.width**2))
-        phase = math.pi * (t - self.t_start) / (self.t_end - self.t_start)
-        return self.peak * math.sin(phase) ** 2
+            values = np.full(times.shape, self.peak)
+        elif self.shape == "gaussian":
+            values = self.peak * np.exp(-((times - self.center) ** 2) / (2.0 * self.width**2))
+        else:
+            phase = np.pi * (times - self.t_start) / (self.t_end - self.t_start)
+            values = self.peak * np.sin(phase) ** 2
+        values = np.where((self.t_start <= times) & (times <= self.t_end), values, 0.0)
+        return values if values.ndim else float(values)
 
     @property
     def duration(self) -> float:
@@ -96,18 +100,22 @@ class PulseEnvelope:
 
 
 def pulse_area(envelope: PulseEnvelope) -> float:
-    """Time integral of the envelope over its window, in radians."""
+    """Time integral of the envelope over its window, in radians (closed form)."""
     if envelope.shape == "rectangular":
         return envelope.peak * envelope.duration
-    area, _ = quad(
-        envelope,
-        envelope.t_start,
-        envelope.t_end,
-        epsabs=1e-16,
-        epsrel=1e-10,
-        limit=200,
+    if envelope.shape == "sin_squared":
+        return 0.5 * envelope.peak * envelope.duration
+    # truncated gaussian, any center: peak * w * sqrt(pi/2) * [erf]_{t_start}^{t_end}
+    scale = math.sqrt(2.0) * envelope.width
+    return (
+        envelope.peak
+        * envelope.width
+        * math.sqrt(0.5 * math.pi)
+        * (
+            math.erf((envelope.t_end - envelope.center) / scale)
+            - math.erf((envelope.t_start - envelope.center) / scale)
+        )
     )
-    return area
 
 
 @dataclass(frozen=True)
@@ -233,16 +241,29 @@ def step_couplings(step: ProtocolStep) -> CouplingSet:
     )
 
 
-def interaction_hamiltonian(t: float, fields: CouplingSet) -> np.ndarray:
-    """H(t)/hbar in rad/s: sum of W_nm(t) e^{i Delta t} |n><m| plus h.c."""
-    h = np.zeros((3, 3), dtype=complex)
+def interaction_hamiltonian(t: float | np.ndarray, fields: CouplingSet) -> np.ndarray:
+    """H(t)/hbar in rad/s: sum of W_nm(t) e^{i Delta t} |n><m| plus h.c.
+
+    A scalar ``t`` gives a (3, 3) matrix; a 1-D array of n times gives the
+    (n, 3, 3) stack. A drive whose ``rabi`` returns a scalar is broadcast.
+    """
+    times = np.asarray(t, dtype=float)
+    h = np.zeros(times.shape + (3, 3), dtype=complex)
     for field in fields.drives:
         n, m = field.transition
-        amplitude = complex(field.rabi(t))
+        amplitude = np.asarray(field.rabi(times), dtype=complex)
         if field.detuning != 0.0:
-            amplitude *= np.exp(1j * field.detuning * t)
-        h[n - 1, m - 1] += amplitude
-    return h + h.conj().T
+            amplitude = amplitude * np.exp(1j * field.detuning * times)
+        h[..., n - 1, m - 1] += amplitude
+    return h + h.conj().swapaxes(-1, -2)
+
+
+def _ordered_product(u: np.ndarray) -> np.ndarray:
+    """u[n-1] @ ... @ u[1] @ u[0] of an (n, 3, 3) stack, by pairwise halving."""
+    while len(u) > 1:
+        paired = u[1::2] @ u[0 : len(u) - 1 : 2]
+        u = np.concatenate((paired, u[-1:])) if len(u) % 2 else paired
+    return u[0]
 
 
 def propagate(
@@ -251,22 +272,33 @@ def propagate(
     """Time-ordered evolution over ``window``, second-order in the step size.
 
     Each sub-interval applies the exponential of the midpoint-evaluated
-    Hamiltonian.
+    Hamiltonian. Midpoints are taken ``_CHUNK`` at a time: one Hamiltonian
+    stack and one batched ``eigh`` per chunk, whose step exponentials are
+    reduced by a pairwise time-ordered product; chunks are multiplied in
+    order, so memory does not grow with ``grid.steps``.
     """
     t0, t1 = window
     if not t1 > t0:
         raise ValueError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
     dt = (t1 - t0) / grid.steps
     u = np.eye(3, dtype=complex)
-    for k in range(grid.steps):
-        t_mid = t0 + (k + 0.5) * dt
+    for first in range(0, grid.steps, _CHUNK):
+        t_mid = t0 + (np.arange(first, min(first + _CHUNK, grid.steps)) + 0.5) * dt
         h = interaction_hamiltonian(t_mid, fields)
-        if not np.isfinite(h).all():
-            raise ArithmeticError(f"non-finite drive amplitude at t = {t_mid}")
+        finite = np.isfinite(h).all(axis=(1, 2))
+        if not finite.all():
+            bad = float(t_mid[np.argmin(finite)])
+            raise ArithmeticError(f"non-finite drive amplitude at t = {bad}")
         eigenvalues, eigenvectors = np.linalg.eigh(h)
-        u = (eigenvectors * np.exp(-1j * eigenvalues * dt)) @ eigenvectors.conj().T @ u
-    # project out the matmul roundoff accumulated over the product; the
-    # exact propagator is unitary, so this touches nothing but noise
+        phases = np.exp(-1j * eigenvalues * dt)[:, None, :]
+        exponentials = (eigenvectors * phases) @ eigenvectors.conj().swapaxes(1, 2)
+        u = _ordered_product(exponentials) @ u
+    # Each step exponential is unitary only to ~3e-15 and the product adds
+    # up that roundoff: without this polar projection 4000 steps drift to
+    # ~1.8e-12 per window, sequential or pairwise, and ~4e-12 over the
+    # three protocol steps, above the 1e-12 unitarity a propagated protocol
+    # is held to. The exact propagator is unitary, so the projection
+    # removes only that noise.
     w, _, vh = np.linalg.svd(u)
     return w @ vh
 

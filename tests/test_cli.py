@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctlsim
 from ctlsim.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from ctlsim.scenario import bundled_scenario_path
 
@@ -230,3 +235,15 @@ class TestOutputFile:
         assert code == EXIT_OK
         records = json.loads(target.read_text())
         assert records[0]["t_rot_k"] == 10.0
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ)
+    src = str(Path(ctlsim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = "import sys, ctlsim.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from ctlsim.ctls import (
@@ -14,6 +17,7 @@ from ctlsim.ctls import (
     zero_drive,
 )
 from ctlsim.propagator import (
+    _CHUNK,
     ProtocolStep,
     PulseEnvelope,
     PulseSchedule,
@@ -50,6 +54,32 @@ def drive_13_only(env: PulseEnvelope, sign: float = 1.0) -> CouplingSet:
     )
 
 
+def noncommuting_detuned_fields() -> CouplingSet:
+    """Overlapping, detuned drives on all three transitions."""
+    env_a = envelope("gaussian", 1.1)
+    env_b = envelope("sin_squared", 0.8)
+    return CouplingSet(
+        drive_12=DriveField((1, 2), rabi=lambda t: env_a(t), detuning=3e7),
+        drive_23=DriveField((2, 3), rabi=lambda t: 1j * env_b(t)),
+        drive_13=constant_drive((1, 3), 2e6 - 1e6j, detuning=-5e7),
+    )
+
+
+def scalar_midpoint_propagate(
+    fields: CouplingSet, window: tuple[float, float], steps: int
+) -> np.ndarray:
+    """Reference: one scalar Hamiltonian and one eigh per midpoint, in order."""
+    t0, t1 = window
+    dt = (t1 - t0) / steps
+    u = np.eye(3, dtype=complex)
+    for k in range(steps):
+        h = interaction_hamiltonian(t0 + (k + 0.5) * dt, fields)
+        eigenvalues, eigenvectors = np.linalg.eigh(h)
+        u = (eigenvectors * np.exp(-1j * eigenvalues * dt)) @ eigenvectors.conj().T @ u
+    w, _, vh = np.linalg.svd(u)
+    return w @ vh
+
+
 def exact_13_pulse(area: float) -> np.ndarray:
     x13 = np.zeros((3, 3), dtype=complex)
     x13[0, 2] = x13[2, 0] = 1.0
@@ -74,6 +104,19 @@ class TestPulseEnvelope:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             PulseEnvelope("triangle", peak=1.0, t_start=0.0, t_end=1.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_array_call_matches_scalar_calls(self, shape):
+        env = envelope(shape, 0.7)
+        times = np.linspace(-0.5 * env.t_end, 1.5 * env.t_end, 101)
+        values = env(times)
+        assert values.shape == times.shape
+        scalars = [env(float(t)) for t in times]
+        assert all(isinstance(v, float) for v in scalars)
+        assert np.abs(values - scalars).max() <= 1e-15 * env.peak
+        outside = (times < env.t_start) | (times > env.t_end)
+        assert outside.any() and (values[outside] == 0.0).all()
+        assert (values[~outside] > 0.0).all()
 
 
 class TestPulseArea:
@@ -102,6 +145,21 @@ class TestPulseArea:
             lambda t: 1.7 * np.exp(-((t - 0.5) ** 2) / (2 * 0.1**2)), 0.0, 1.0
         )
         assert pulse_area(env) == pytest.approx(reference, rel=1e-9)
+
+    def test_off_center_gaussian_against_quad(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            t_start, t_end = np.sort(rng.uniform(-1.0, 1.0, size=2))
+            env = PulseEnvelope(
+                "gaussian",
+                peak=rng.uniform(0.1, 10.0),
+                t_start=t_start,
+                t_end=t_end,
+                center=rng.uniform(t_start - 0.5, t_end + 0.5),
+                width=rng.uniform(0.02, 1.0),
+            )
+            reference, _ = quad(env, t_start, t_end, epsabs=0.0, epsrel=1e-13, limit=200)
+            assert pulse_area(env) == pytest.approx(reference, rel=1e-12)
 
 
 class TestInteractionHamiltonian:
@@ -139,6 +197,14 @@ class TestInteractionHamiltonian:
         h = interaction_hamiltonian(0.7, fields)
         assert np.abs(h - h.conj().T).max() < 1e-15
         assert h[0, 1] == pytest.approx((0.3 + 0.2j) * np.exp(1j * 2.0 * 0.7))
+
+    def test_array_times_match_stacked_scalar_calls(self):
+        fields = noncommuting_detuned_fields()
+        times = np.linspace(-1e-8, 1.1e-7, 37)
+        stacked = interaction_hamiltonian(times, fields)
+        assert stacked.shape == (37, 3, 3)
+        expected = np.array([interaction_hamiltonian(float(t), fields) for t in times])
+        assert np.abs(stacked - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 class TestPropagate:
@@ -205,6 +271,27 @@ class TestPropagate:
         ]
         ratios = [defects[i] / defects[i + 1] for i in range(2)]
         assert all(3.5 < r < 4.5 for r in ratios)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_batched_matches_scalar_loop(self, steps):
+        fields = noncommuting_detuned_fields()
+        window = (0.0, 1e-7)
+        u = propagate(fields, window, TimeGrid(steps))
+        assert np.abs(u - scalar_midpoint_propagate(fields, window, steps)).max() < 1e-13
+
+    def test_nonfinite_error_names_first_bad_time(self):
+        fields = CouplingSet(
+            drive_12=DriveField((1, 2), rabi=lambda t: np.where(t > 0.75, np.nan, 1.0)),
+            drive_23=zero_drive((2, 3)),
+            drive_13=zero_drive((1, 3)),
+        )
+        steps = 2 * _CHUNK + 8  # the first bad midpoint lies in the second chunk
+        dt = 1.0 / steps
+        first_bad = next(
+            (k + 0.5) * dt for k in range(steps) if (k + 0.5) * dt > 0.75
+        )
+        with pytest.raises(ArithmeticError, match=re.escape(f"t = {first_bad}")):
+            propagate(fields, (0.0, 1.0), TimeGrid(steps))
 
     def test_nonfinite_amplitude_raises(self):
         fields = CouplingSet(
@@ -285,6 +372,14 @@ class TestRunProtocol:
     def test_all_shapes_match_analytic(self, shape, chirality):
         u = run_protocol(ideal_schedule(shape=shape), chirality, 4096)
         assert np.abs(u - total_unitary(chirality)).max() < 1e-6
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("chirality", [Chirality.L, Chirality.R])
+    def test_unitary_to_roundoff_at_4096_steps(self, shape, chirality):
+        # the final polar projection in propagate keeps this below 1e-12;
+        # without it the protocol accumulates ~4e-12 of roundoff
+        u = run_protocol(ideal_schedule(shape=shape), chirality, 4096)
+        assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-12
 
     @pytest.mark.parametrize("chirality", [Chirality.L, Chirality.R])
     def test_equivalent_step_c_area(self, chirality):

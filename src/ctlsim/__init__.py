@@ -5,122 +5,23 @@ left- and right-handed molecules and quantifies the resulting enrichment
 against rotational and vibrational temperature.
 """
 
-from .ctls import (
-    Chirality,
-    CouplingSet,
-    DriveField,
-    analytic_step_unitary,
-    bright_state,
-    overall_phase,
-    signed_couplings,
-    total_unitary,
-)
-from .propagator import (
-    PulseEnvelope,
-    PulseSchedule,
-    ScheduleError,
-    TimeGrid,
-    apply_to_density,
-    ideal_schedule,
-    interaction_hamiltonian,
-    propagate,
-    pulse_area,
-    run_protocol,
-)
-from .rotor import (
-    RotationalConstants,
-    RotorLevel,
-    RotorSpectrum,
-    build_rotor_block,
-    rotor_levels,
-    rotor_spectrum,
-)
-from .scenario import (
-    ScenarioError,
-    ScenarioFile,
-    dump_scenario,
-    parse_scenario,
-    to_ctls_config,
-)
-from .thermal import (
-    ConvergenceError,
-    OccupationTriple,
-    RoVibLevel,
-    Temperatures,
-    VibrationalMode,
-    boltzmann_exponent,
-    ctls_populations,
-    global_proportion,
-    rotational_partition,
-    vibrational_partition,
-    yield_eta,
-)
-from .transfer import (
-    CtlsConfig,
-    TransferResult,
-    default_sweep_grid,
-    enantiomeric_excess,
-    excess_sweep,
-    final_states,
-    make_level,
-    population_sweep,
-    run_transfer,
-    thermal_initial_state,
-    yield_sweep,
-)
+from .ctls import Chirality, total_unitary
+from .propagator import ideal_schedule, run_protocol
+from .rotor import RotationalConstants
+from .scenario import parse_scenario, to_ctls_config
+from .thermal import Temperatures
+from .transfer import enantiomeric_excess
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Chirality",
-    "ConvergenceError",
-    "CouplingSet",
-    "CtlsConfig",
-    "DriveField",
-    "OccupationTriple",
-    "PulseEnvelope",
-    "PulseSchedule",
     "RotationalConstants",
-    "RotorLevel",
-    "RotorSpectrum",
-    "RoVibLevel",
-    "ScenarioError",
-    "ScenarioFile",
-    "ScheduleError",
     "Temperatures",
-    "TimeGrid",
-    "TransferResult",
-    "VibrationalMode",
-    "analytic_step_unitary",
-    "apply_to_density",
-    "boltzmann_exponent",
-    "bright_state",
-    "build_rotor_block",
-    "ctls_populations",
-    "default_sweep_grid",
-    "dump_scenario",
-    "enantiomeric_excess",
-    "excess_sweep",
-    "final_states",
-    "global_proportion",
     "ideal_schedule",
-    "interaction_hamiltonian",
-    "make_level",
-    "overall_phase",
-    "parse_scenario",
-    "population_sweep",
-    "propagate",
-    "pulse_area",
-    "rotational_partition",
-    "rotor_levels",
-    "rotor_spectrum",
     "run_protocol",
-    "run_transfer",
-    "signed_couplings",
-    "thermal_initial_state",
-    "to_ctls_config",
     "total_unitary",
-    "vibrational_partition",
-    "yield_eta",
-    "yield_sweep",
+    "parse_scenario",
+    "to_ctls_config",
+    "enantiomeric_excess",
 ]

@@ -108,9 +108,14 @@ def build_rotor_block(j: int, constants: RotationalConstants) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def block_energies(j: int, constants: RotationalConstants) -> tuple[float, ...]:
-    """Ascending eigenvalues of one J block, cached per (J, constants)."""
-    return tuple(np.linalg.eigvalsh(build_rotor_block(j, constants)))
+def block_energies(j: int, constants: RotationalConstants) -> np.ndarray:
+    """Ascending eigenvalues of one J block, cached per (J, constants).
+
+    Every caller shares the cached array, so it is returned read-only.
+    """
+    energies = np.linalg.eigvalsh(build_rotor_block(j, constants))
+    energies.flags.writeable = False
+    return energies
 
 
 def rotor_levels(j: int, constants: RotationalConstants) -> list[RotorLevel]:

@@ -8,7 +8,7 @@ a scenario that parses is fully normalized and reproducible.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -22,6 +22,7 @@ from .transfer import (
     PURELY_ROTATIONAL,
     RO_VIBRATIONAL,
     CtlsConfig,
+    default_sweep_grid,
     make_level,
 )
 
@@ -162,8 +163,12 @@ class _Reader:
             raise ScenarioError(label, "unknown key")
 
 
-def scenario_from_mapping(data: Mapping[str, Any], source: str = "<scenario>") -> ScenarioFile:
-    """Validate a raw mapping into a normalized scenario."""
+def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
+    """Validate a raw mapping into a normalized scenario.
+
+    The scenario's declared loop is built once before returning, so every
+    loop rule is checked here and a scenario that parses builds its loop.
+    """
     root = _Reader(data, "")
 
     molecule = root.mapping("molecule", required=True)
@@ -199,11 +204,8 @@ def scenario_from_mapping(data: Mapping[str, Any], source: str = "<scenario>") -
         raise ScenarioError(
             "ctls.mode", f"must be '{RO_VIBRATIONAL}' or '{PURELY_ROTATIONAL}', got {mode!r}"
         )
-    level_items = ctls_reader.sequence("levels", required=True)
-    if len(level_items) != 3:
-        raise ScenarioError("ctls.levels", f"exactly 3 levels required, got {len(level_items)}")
     levels = []
-    for label, item in level_items:
+    for label, item in ctls_reader.sequence("levels", required=True):
         level_reader = _Reader(item, label)
         levels.append(
             LevelSpec(
@@ -215,22 +217,6 @@ def scenario_from_mapping(data: Mapping[str, Any], source: str = "<scenario>") -
         )
         level_reader.finish()
     ctls_reader.finish()
-
-    quanta = tuple(level.vib for level in levels)
-    if mode == RO_VIBRATIONAL:
-        if quanta[0] != 0 or 0 in quanta[1:]:
-            raise ScenarioError(
-                "ctls.levels", f"{RO_VIBRATIONAL} mode needs vib quanta (0, >0, >0), got {quanta}"
-            )
-        if not modes:
-            raise ScenarioError(
-                "molecule.vibrational_modes",
-                f"{RO_VIBRATIONAL} mode requires at least one vibrational mode",
-            )
-    elif quanta != (0, 0, 0):
-        raise ScenarioError(
-            "ctls.levels", f"{PURELY_ROTATIONAL} mode needs vib quanta (0, 0, 0), got {quanta}"
-        )
 
     temps_reader = root.mapping("temperatures")
     if temps_reader is None:
@@ -253,10 +239,10 @@ def scenario_from_mapping(data: Mapping[str, Any], source: str = "<scenario>") -
         points = sweep_reader.integer("points", default=_DEFAULT_SWEEP["points"])
         log_scale = sweep_reader.boolean("log_scale", default=_DEFAULT_SWEEP["log_scale"])
         sweep_reader.finish()
-        if t_min <= 0 or t_max <= t_min:
-            raise ScenarioError("sweep", f"need 0 < t_rot_min_k < t_rot_max_k, got ({t_min}, {t_max})")
-        if points < 2:
-            raise ScenarioError("sweep.points", f"must be >= 2, got {points}")
+        try:
+            default_sweep_grid(t_min, t_max, points, log_scale)
+        except ValueError as exc:
+            raise ScenarioError("sweep", str(exc)) from exc
         sweep = SweepSpec(t_rot_min_k=t_min, t_rot_max_k=t_max, points=points, log_scale=log_scale)
 
     labeling = root.text("labeling", default="tau")
@@ -264,7 +250,7 @@ def scenario_from_mapping(data: Mapping[str, Any], source: str = "<scenario>") -
         raise ScenarioError("labeling", f"must be one of {LABELINGS}, got {labeling!r}")
     root.finish()
 
-    return ScenarioFile(
+    scenario = ScenarioFile(
         molecule_name=name,
         constants=constants,
         vibrational_modes=tuple(modes),
@@ -274,6 +260,8 @@ def scenario_from_mapping(data: Mapping[str, Any], source: str = "<scenario>") -
         sweep=sweep,
         labeling=labeling,
     )
+    to_ctls_config(scenario)
+    return scenario
 
 
 def parse_scenario(path: str | Path) -> ScenarioFile:
@@ -285,7 +273,7 @@ def parse_scenario(path: str | Path) -> ScenarioFile:
         raise ScenarioError("<document>", f"not valid YAML: {exc}") from exc
     if data is None:
         raise ScenarioError("<document>", "scenario file is empty")
-    return scenario_from_mapping(data, source=str(path))
+    return scenario_from_mapping(data)
 
 
 def dump_scenario(scenario: ScenarioFile) -> str:
@@ -335,47 +323,49 @@ def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfi
     Switching to ``ro_vibrational`` excites levels 2 and 3 to the first
     vibrational quantum; switching to ``purely_rotational`` grounds all
     three. The rotational labels are kept either way.
+
+    This is the one place where a loop rule's ``ValueError`` becomes a
+    ``ScenarioError``: ``ctls.levels[i]`` names a bad level and
+    ``ctls.levels`` a bad combination of levels.
     """
     target_mode = scenario.mode if mode is None else mode
-    if target_mode not in (RO_VIBRATIONAL, PURELY_ROTATIONAL):
-        raise ScenarioError("ctls.mode", f"unknown mode {target_mode!r}")
+    if target_mode == RO_VIBRATIONAL and not scenario.vibrational_modes:
+        raise ScenarioError(
+            "molecule.vibrational_modes",
+            f"{RO_VIBRATIONAL} mode requires at least one vibrational mode",
+        )
     entries = scenario.levels
     if target_mode != scenario.mode:
-        if target_mode == RO_VIBRATIONAL:
-            if not scenario.vibrational_modes:
-                raise ScenarioError(
-                    "molecule.vibrational_modes",
-                    f"{RO_VIBRATIONAL} mode requires at least one vibrational mode",
+        excited = 1 if target_mode == RO_VIBRATIONAL else 0
+        entries = tuple(
+            replace(entry, vib=excited if i else 0) for i, entry in enumerate(entries)
+        )
+    levels = []
+    for i, entry in enumerate(entries):
+        try:
+            levels.append(
+                make_level(
+                    scenario.constants,
+                    scenario.vibrational_modes,
+                    entry.vib,
+                    entry.j,
+                    entry.tau,
+                    entry.m,
+                    scenario.labeling,
                 )
-            entries = (
-                entries[0],
-                LevelSpec(1, entries[1].j, entries[1].tau, entries[1].m),
-                LevelSpec(1, entries[2].j, entries[2].tau, entries[2].m),
             )
-        else:
-            entries = tuple(LevelSpec(0, e.j, e.tau, e.m) for e in entries)
+        except ValueError as exc:
+            raise ScenarioError(f"ctls.levels[{i}]", str(exc)) from exc
     try:
-        levels = tuple(
-            make_level(
-                scenario.constants,
-                scenario.vibrational_modes,
-                entry.vib,
-                entry.j,
-                entry.tau,
-                entry.m,
-                scenario.labeling,
-            )
-            for entry in entries
+        return CtlsConfig(
+            mode=target_mode,
+            constants=scenario.constants,
+            modes=scenario.vibrational_modes,
+            levels=tuple(levels),
+            labeling=scenario.labeling,
         )
     except ValueError as exc:
         raise ScenarioError("ctls.levels", str(exc)) from exc
-    return CtlsConfig(
-        mode=target_mode,
-        constants=scenario.constants,
-        modes=scenario.vibrational_modes,
-        levels=levels,
-        labeling=scenario.labeling,
-    )
 
 
 def bundled_scenario_path() -> Path:

@@ -28,6 +28,7 @@ __all__ = [
     "OccupationTriple",
     "ConvergenceError",
     "boltzmann_exponent",
+    "check_loop_levels",
     "ctls_populations",
     "rotational_partition",
     "vibrational_partition",
@@ -170,6 +171,19 @@ def _two_temperature_weights(
     return np.exp(-(x - x.min()))
 
 
+def check_loop_levels(levels: Sequence[RoVibLevel]) -> None:
+    """Require exactly three distinct levels for a loop.
+
+    Levels are told apart by vibrational quantum and rotor level (J, tau);
+    M sublevels of one rotor level count as the same level.
+    """
+    if len(levels) != 3:
+        raise ValueError(f"expected exactly 3 levels, got {len(levels)}")
+    identities = {(lv.vib_quantum, lv.rot.j, lv.rot.tau) for lv in levels}
+    if len(identities) != 3:
+        raise ValueError("the three levels must be distinct")
+
+
 def ctls_populations(
     levels: Sequence[RoVibLevel], temps: Temperatures
 ) -> OccupationTriple:
@@ -182,12 +196,7 @@ def ctls_populations(
     frozen degree of freedom (minimal total energy if both temperatures are
     zero), with exact ties split equally.
     """
-    if len(levels) != 3:
-        raise ValueError(f"expected exactly 3 levels, got {len(levels)}")
-    identities = {(lv.vib_quantum, lv.rot.j, lv.rot.tau) for lv in levels}
-    if len(identities) != 3:
-        raise ValueError("the three levels must be distinct")
-
+    check_loop_levels(levels)
     vib = np.array([lv.vib_energy_ghz for lv in levels])
     rot = np.array([lv.rot.energy_ghz for lv in levels])
     weights = _two_temperature_weights(vib, rot, temps)
@@ -209,7 +218,7 @@ def rotational_partition(
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     total = 0.0
     for j in range(_J_CAP + 1):
-        energies = np.asarray(block_energies(j, constants))
+        energies = block_energies(j, constants)
         contribution = (2 * j + 1) * float(
             np.exp(-energies * K_PER_GHZ / t_rot_k).sum()
         )

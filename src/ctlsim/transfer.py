@@ -21,6 +21,7 @@ from .thermal import (
     RoVibLevel,
     Temperatures,
     VibrationalMode,
+    check_loop_levels,
     ctls_populations,
     global_proportion,
     yield_eta,
@@ -67,10 +68,8 @@ def rotor_level_for_labels(
     """
     if labeling == "tau":
         tau = first
-        if not -j <= second <= j and j > 0:
+        if not -j <= second <= j:
             raise ValueError(f"M must lie in [-J, J], got M={second} for J={j}")
-        if j == 0 and second != 0:
-            raise ValueError(f"M must be 0 for J=0, got {second}")
     elif labeling == "ka_kc":
         ka, kc = first, second
         if not (0 <= ka <= j and 0 <= kc <= j and ka + kc in (j, j + 1)):
@@ -123,8 +122,7 @@ class CtlsConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.labeling not in LABELINGS:
             raise ValueError(f"labeling must be one of {LABELINGS}, got {self.labeling!r}")
-        if len(self.levels) != 3:
-            raise ValueError(f"expected 3 levels, got {len(self.levels)}")
+        check_loop_levels(self.levels)
         quanta = tuple(level.vib_quantum for level in self.levels)
         if self.mode == RO_VIBRATIONAL and (quanta[0] != 0 or 0 in quanta[1:]):
             raise ValueError(
@@ -184,22 +182,12 @@ def enantiomeric_excess(populations: OccupationTriple) -> float:
     """Normalized population difference between enantiomers in level |2>.
 
     After the protocol the left-handed |2> occupation is p3 and the
-    right-handed one is p1, giving |p3 - p1| / (p3 + p1). The equivalent
-    ratio form |1 - 2/(1 + p1/p3)| is evaluated as a consistency check.
+    right-handed one is p1, giving |p3 - p1| / (p3 + p1).
     """
     p1, p3 = populations.p1, populations.p3
     if p1 + p3 == 0.0:
         raise ValueError("excess undefined: levels 1 and 3 are both unoccupied")
-    direct = abs(p3 - p1) / (p3 + p1)
-    if p1 == 0.0 or p3 == 0.0:
-        from_ratio = 1.0
-    else:
-        from_ratio = abs(1.0 - 2.0 / (1.0 + p1 / p3))
-    if abs(direct - from_ratio) > 1e-9:
-        raise ArithmeticError(
-            f"excess forms disagree: {direct} vs {from_ratio} for p = {populations}"
-        )
-    return direct
+    return abs(p3 - p1) / (p3 + p1)
 
 
 def run_transfer(
@@ -222,8 +210,8 @@ def default_sweep_grid(
     log_scale: bool = True,
 ) -> np.ndarray:
     """Temperature grid matching the log-scale axes of the result curves."""
-    if t_min_k <= 0.0 or t_max_k <= t_min_k:
-        raise ValueError(f"need 0 < t_min_k < t_max_k, got ({t_min_k}, {t_max_k})")
+    if not 0.0 < t_min_k < t_max_k < np.inf:
+        raise ValueError(f"need 0 < t_min_k < t_max_k < inf, got ({t_min_k}, {t_max_k})")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     if log_scale:

@@ -193,6 +193,22 @@ class TestScenarioHandling:
         assert code == EXIT_SCHEMA
         assert "A >= B >= C" in err
 
+    @pytest.mark.parametrize("command", ["levels", "protocol", "populations"])
+    @pytest.mark.parametrize(
+        "new",
+        ["{vib: 1, J: 1, tau: 0, M: 1}", "{vib: 1, J: 1, tau: 5, M: 0}"],
+        ids=["duplicate-level", "tau-out-of-range"],
+    )
+    def test_bad_loop_exit_3(self, capsys, tmp_path, command, new):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(
+            SMALL_SWEEP.replace("{vib: 1, J: 1, tau: 1, M: 0}", new), encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, command, "--scenario", str(bad))
+        assert code == EXIT_SCHEMA
+        assert out == ""
+        assert "ctls.levels" in err
+
     def test_unknown_subcommand_exit_64(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 

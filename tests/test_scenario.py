@@ -113,6 +113,34 @@ class TestValidation:
             parse_scenario(write(tmp_path, text))
         assert "ctls.levels" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("{vib: 0, J: 1, tau: 1, M: 0}", "{vib: 0, J: 1, tau: 0, M: 1}"),  # duplicate
+            ("{vib: 0, J: 1, tau: 1, M: 0}", "{vib: 0, J: 1, tau: 5, M: 0}"),  # tau > J
+        ],
+        ids=["duplicate-level", "tau-out-of-range"],
+    )
+    def test_bad_loop_rejected_at_parse(self, tmp_path, old, new):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(write(tmp_path, MINIMAL.replace(old, new)))
+        assert err.value.field.startswith("ctls.levels")
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            "{t_rot_min_k: 5.0, t_rot_max_k: 1.0}",
+            "{t_rot_min_k: 0.0}",
+            "{t_rot_max_k: .inf}",
+            "{t_rot_max_k: .nan}",
+            "{points: 1}",
+        ],
+    )
+    def test_bad_sweep_rejected(self, tmp_path, sweep):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(write(tmp_path, MINIMAL + f"\nsweep: {sweep}\n"))
+        assert err.value.field == "sweep"
+
     def test_non_numeric_rejected(self, tmp_path):
         text = MINIMAL.replace("A: 3.0", "A: three")
         with pytest.raises(ScenarioError):

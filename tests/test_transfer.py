@@ -189,6 +189,9 @@ class TestEnantiomericExcess:
         assert from_final == pytest.approx(
             enantiomeric_excess(populations), abs=1e-12
         )
+        # and the ratio form |1 - 2/(1 + p1/p3)|
+        from_ratio = abs(1.0 - 2.0 / (1.0 + populations.p1 / populations.p3))
+        assert from_ratio == pytest.approx(enantiomeric_excess(populations), abs=1e-9)
 
     def test_invariance_under_energy_shift_and_rescaling(self, rotational_config):
         # shifting all level energies or scaling (energies, temperatures)

@@ -95,15 +95,10 @@ def build_rotor_block(j: int, constants: RotationalConstants) -> np.ndarray:
     ks = np.arange(-j, j + 1)
     block = np.zeros((2 * j + 1, 2 * j + 1))
     block[np.diag_indices_from(block)] = 0.5 * (b + c) * (jj - ks**2) + a * ks**2
-    for i, k in enumerate(ks[:-2]):
-        coupling = (
-            0.25
-            * (b - c)
-            * np.sqrt(jj - k * (k + 1))
-            * np.sqrt(jj - (k + 1) * (k + 2))
-        )
-        block[i, i + 2] = coupling
-        block[i + 2, i] = coupling
+    k = ks[:-2]
+    coupling = 0.25 * (b - c) * np.sqrt(jj - k * (k + 1)) * np.sqrt(jj - (k + 1) * (k + 2))
+    i = np.arange(len(k))
+    block[i, i + 2] = block[i + 2, i] = coupling
     return block
 
 

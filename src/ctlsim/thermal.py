@@ -29,6 +29,7 @@ __all__ = [
     "ConvergenceError",
     "boltzmann_exponent",
     "check_loop_levels",
+    "loop_populations",
     "ctls_populations",
     "rotational_partition",
     "vibrational_partition",
@@ -57,9 +58,7 @@ class Temperatures:
 
     def __post_init__(self) -> None:
         for name in ("t_rot_k", "t_vib_k"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            _temperature_grid(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -132,43 +131,26 @@ def boltzmann_exponent(level_freq_ghz: float, t_k: float) -> float:
     return level_freq_ghz * K_PER_GHZ / t_k
 
 
-def _ground_indicator(energies_ghz: np.ndarray) -> np.ndarray:
-    """Zero-temperature limit weights: 1 on the minimal energy, ties included."""
-    e_min = energies_ghz.min()
-    tol = _TIE_RTOL * max(1.0, abs(e_min))
-    return (energies_ghz - e_min <= tol).astype(float)
+def _temperature_grid(name: str, t_k: float | np.ndarray, positive: bool = False) -> np.ndarray:
+    """A float or 1-D array of temperatures in kelvin as a 1-D float array.
 
-
-def _shifted_weights(energies_ghz: np.ndarray, t_k: float) -> np.ndarray:
-    """Boltzmann factors exp(-h f/kB T), rescaled so the largest is 1."""
-    x = energies_ghz * K_PER_GHZ / t_k
-    return np.exp(-(x - x.min()))
-
-
-def _two_temperature_weights(
-    vib_ghz: np.ndarray, rot_ghz: np.ndarray, temps: Temperatures
-) -> np.ndarray:
-    """Relative weights exp(-h f_vib/kB T_vib) exp(-h f_rot/kB T_rot).
-
-    The combined exponent is shifted so the largest weight is 1, which keeps
-    the ratios exact for any energy scale. Zero temperatures are exact
-    limits: the frozen degree of freedom restricts weight to its ground
-    levels (ties included), the other one remains thermal within that set.
+    Every value must be finite and >= 0 (> 0 when ``positive``); the first
+    value that is not is named in the error.
     """
-    if temps.t_rot_k == 0.0 and temps.t_vib_k == 0.0:
-        return _ground_indicator(vib_ghz + rot_ghz)
-    if temps.t_vib_k == 0.0 or temps.t_rot_k == 0.0:
-        frozen, thermal, t_k = (
-            (vib_ghz, rot_ghz, temps.t_rot_k)
-            if temps.t_vib_k == 0.0
-            else (rot_ghz, vib_ghz, temps.t_vib_k)
-        )
-        weights = np.zeros(len(frozen))
-        mask = _ground_indicator(frozen) > 0.0
-        weights[mask] = _shifted_weights(thermal[mask], t_k)
-        return weights
-    x = vib_ghz * K_PER_GHZ / temps.t_vib_k + rot_ghz * K_PER_GHZ / temps.t_rot_k
-    return np.exp(-(x - x.min()))
+    t = np.atleast_1d(np.asarray(t_k, dtype=float))
+    if t.ndim != 1:
+        raise ValueError(f"{name} must be a float or a 1-D array, got shape {t.shape}")
+    bad = ~np.isfinite(t) | (t <= 0.0 if positive else t < 0.0)
+    if bad.any():
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {t[bad][0]}")
+    return t
+
+
+def _ground(energies_ghz: np.ndarray) -> np.ndarray:
+    """Mask of the minimal energy, ties included: a frozen degree of freedom."""
+    e_min = energies_ghz.min()
+    return energies_ghz - e_min <= _TIE_RTOL * max(1.0, abs(e_min))
 
 
 def check_loop_levels(levels: Sequence[RoVibLevel]) -> None:
@@ -184,50 +166,77 @@ def check_loop_levels(levels: Sequence[RoVibLevel]) -> None:
         raise ValueError("the three levels must be distinct")
 
 
+def loop_populations(
+    levels: Sequence[RoVibLevel], t_rot_k: float | np.ndarray, t_vib_k: float
+) -> np.ndarray:
+    """Thermal populations (p1, p2, p3) of the three addressed levels per T_rot.
+
+    Returns shape (N, 3) for N rotational temperatures. Each level is
+    weighted by exp(-h f_vib/kB T_vib) * exp(-h f_rot/kB T_rot) and
+    normalized over the three levels only; the loop addresses single M
+    sublevels, so no degeneracy factors enter. The combined exponent is
+    shifted so the largest weight is 1, which keeps the ratios exact for any
+    energy scale. A zero temperature is handled as the exact limit: weight
+    collapses onto the minimal energy of the frozen degree of freedom
+    (minimal total energy if both temperatures are zero), with exact ties
+    split equally, and the other one stays thermal within that set.
+    """
+    check_loop_levels(levels)
+    t_rot = _temperature_grid("t_rot_k", t_rot_k)
+    (t_vib,) = _temperature_grid("t_vib_k", t_vib_k)
+    vib = np.array([lv.vib_energy_ghz for lv in levels])
+    rot = np.array([lv.rot.energy_ghz for lv in levels])
+    hot = t_rot > 0.0
+    x = np.zeros((len(t_rot), 3))
+    x[hot] = rot * K_PER_GHZ / t_rot[hot, None]
+    if t_vib > 0.0:
+        x += vib * K_PER_GHZ / t_vib
+        allowed_hot, allowed_cold = np.ones(3, bool), _ground(rot)
+    else:
+        allowed_hot, allowed_cold = _ground(vib), _ground(vib + rot)
+    x = np.where(np.where(hot[:, None], allowed_hot, allowed_cold), x, np.inf)
+    x = x - x.min(axis=1, keepdims=True)
+    overflowed = np.isnan(x).any(axis=1)  # every allowed exponent was infinite
+    if overflowed.any():
+        raise ValueError(f"Boltzmann exponents overflow at t_rot_k = {t_rot[overflowed][0]}")
+    weights = np.exp(-x)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 def ctls_populations(
     levels: Sequence[RoVibLevel], temps: Temperatures
 ) -> OccupationTriple:
-    """Thermal populations of the three addressed levels.
-
-    Each level is weighted by exp(-h f_vib/kB T_vib) * exp(-h f_rot/kB T_rot)
-    and normalized over the three levels only; the loop addresses single M
-    sublevels, so no degeneracy factors enter. A zero temperature is handled
-    as the exact limit: weight collapses onto the minimal energy of the
-    frozen degree of freedom (minimal total energy if both temperatures are
-    zero), with exact ties split equally.
-    """
-    check_loop_levels(levels)
-    vib = np.array([lv.vib_energy_ghz for lv in levels])
-    rot = np.array([lv.rot.energy_ghz for lv in levels])
-    weights = _two_temperature_weights(vib, rot, temps)
-    p = weights / weights.sum()
-    return OccupationTriple(p1=p[0], p2=p[1], p3=p[2])
+    """``loop_populations`` at one temperature pair."""
+    return OccupationTriple(*loop_populations(levels, temps.t_rot_k, temps.t_vib_k)[0])
 
 
 def rotational_partition(
-    constants: RotationalConstants, t_rot_k: float, rel_tol: float = 1e-8
-) -> float:
+    constants: RotationalConstants, t_rot_k: float | np.ndarray, rel_tol: float = 1e-8
+) -> float | np.ndarray:
     """Rotational partition function with (2J+1) M degeneracy.
 
-    J blocks are accumulated until a whole block contributes less than
-    rel_tol times the running sum.
+    A float ``t_rot_k`` gives a float, a 1-D array an array of its length.
+    One walk over the J blocks serves the whole grid: each temperature
+    accumulates blocks until a whole block contributes less than rel_tol
+    times its running sum.
     """
-    if t_rot_k <= 0.0:
-        raise ValueError(f"t_rot_k must be > 0, got {t_rot_k}")
+    t = _temperature_grid("t_rot_k", t_rot_k, positive=True)
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    total = 0.0
+    total = np.zeros(len(t))
+    active = np.arange(len(t))
     for j in range(_J_CAP + 1):
         energies = block_energies(j, constants)
-        contribution = (2 * j + 1) * float(
-            np.exp(-energies * K_PER_GHZ / t_rot_k).sum()
-        )
-        total += contribution
-        if contribution < rel_tol * total:
-            return total
+        contribution = (2 * j + 1) * np.exp(
+            -energies * K_PER_GHZ / t[active, None]
+        ).sum(axis=1)
+        total[active] += contribution
+        active = active[~(contribution < rel_tol * total[active])]
+        if not active.size:
+            return total if np.ndim(t_rot_k) else float(total[0])
     raise ConvergenceError(
         f"rotational partition sum did not converge below J = {_J_CAP} "
-        f"(T = {t_rot_k} K, rel_tol = {rel_tol})"
+        f"(T = {t[active[0]]} K, rel_tol = {rel_tol})"
     )
 
 
@@ -235,8 +244,7 @@ def vibrational_partition(
     modes: Iterable[VibrationalMode], t_vib_k: float
 ) -> float:
     """Product of truncated harmonic-ladder sums over the declared modes."""
-    if t_vib_k < 0.0:
-        raise ValueError(f"t_vib_k must be >= 0, got {t_vib_k}")
+    _temperature_grid("t_vib_k", t_vib_k)
     z = 1.0
     for mode in modes:
         if t_vib_k == 0.0:
@@ -247,29 +255,33 @@ def vibrational_partition(
 
 
 def global_proportion(
-    level: RoVibLevel,
+    levels: Sequence[RoVibLevel],
     constants: RotationalConstants,
     modes: Iterable[VibrationalMode],
-    temps: Temperatures,
+    t_rot_k: float | np.ndarray,
+    t_vib_k: float,
     rel_tol: float = 1e-8,
-) -> float:
-    """Population share of one level against the full ro-vibrational manifold.
+) -> np.ndarray:
+    """Population share of each level against the full ro-vibrational manifold.
 
-    The normalizer factorizes as Z_vib(T_vib) * Z_rot(T_rot) because
-    rigid-rotor level energies do not depend on the vibrational state.
+    Returns shape (N, len(levels)) for N rotational temperatures. The
+    normalizer factorizes as Z_vib(T_vib) * Z_rot(T_rot) because rigid-rotor
+    level energies do not depend on the vibrational state; each factor is
+    computed once for the grid.
     """
-    z_rot = rotational_partition(constants, temps.t_rot_k, rel_tol)
-    z_vib = vibrational_partition(modes, temps.t_vib_k)
-    if temps.t_vib_k == 0.0:
-        p_vib = 1.0 if level.vib_quantum == 0 else 0.0
+    t_rot = _temperature_grid("t_rot_k", t_rot_k, positive=True)
+    z_rot = rotational_partition(constants, t_rot, rel_tol)
+    z_vib = vibrational_partition(modes, t_vib_k)
+    if t_vib_k == 0.0:
+        p_vib = np.array([float(lv.vib_quantum == 0) for lv in levels])
     else:
-        p_vib = math.exp(-boltzmann_exponent(level.vib_energy_ghz, temps.t_vib_k))
-    p_rot = math.exp(-boltzmann_exponent(level.rot.energy_ghz, temps.t_rot_k))
-    return p_vib * p_rot / (z_vib * z_rot)
+        p_vib = np.exp(-(np.array([lv.vib_energy_ghz for lv in levels]) * K_PER_GHZ / t_vib_k))
+    p_rot = np.exp(-(np.array([lv.rot.energy_ghz for lv in levels]) * K_PER_GHZ / t_rot[:, None]))
+    return p_vib * p_rot / (z_vib * z_rot[:, None])
 
 
-def yield_eta(p1: float) -> float:
+def yield_eta(p1: float | np.ndarray) -> float | np.ndarray:
     """Fraction of a racemic mixture converted to pure enantiomers, P1 / 2."""
-    if not 0.0 <= p1 <= 1.0:
+    if not np.all((0.0 <= p1) & (p1 <= 1.0)):
         raise ValueError(f"P1 must lie in [0, 1], got {p1}")
     return p1 / 2.0

@@ -24,6 +24,7 @@ from .thermal import (
     check_loop_levels,
     ctls_populations,
     global_proportion,
+    loop_populations,
     yield_eta,
 )
 
@@ -50,6 +51,9 @@ PURELY_ROTATIONAL = "purely_rotational"
 _MODES = (RO_VIBRATIONAL, PURELY_ROTATIONAL)
 
 LABELINGS = ("tau", "ka_kc")
+
+# Bounds the sweep's temporaries: one partition walk holds points x (2J+1) floats.
+_MAX_POINTS = 10_000
 
 
 def rotor_level_for_labels(
@@ -178,16 +182,18 @@ def final_states(
     return apply_to_density(u_left, rho), apply_to_density(u_right, rho)
 
 
-def enantiomeric_excess(populations: OccupationTriple) -> float:
+def enantiomeric_excess(populations: OccupationTriple | np.ndarray) -> float | np.ndarray:
     """Normalized population difference between enantiomers in level |2>.
 
     After the protocol the left-handed |2> occupation is p3 and the
-    right-handed one is p1, giving |p3 - p1| / (p3 + p1).
+    right-handed one is p1, giving |p3 - p1| / (p3 + p1). An (N, 3) array of
+    (p1, p2, p3) rows gives one excess per row.
     """
-    p1, p3 = populations.p1, populations.p3
-    if p1 + p3 == 0.0:
+    p = populations.as_array() if isinstance(populations, OccupationTriple) else populations
+    p1, p3 = p[..., 0], p[..., 2]
+    if np.any(p1 + p3 == 0.0):
         raise ValueError("excess undefined: levels 1 and 3 are both unoccupied")
-    return abs(p3 - p1) / (p3 + p1)
+    return np.abs(p3 - p1) / (p3 + p1)
 
 
 def run_transfer(
@@ -212,8 +218,8 @@ def default_sweep_grid(
     """Temperature grid matching the log-scale axes of the result curves."""
     if not 0.0 < t_min_k < t_max_k < np.inf:
         raise ValueError(f"need 0 < t_min_k < t_max_k < inf, got ({t_min_k}, {t_max_k})")
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
+    if not 2 <= points <= _MAX_POINTS:
+        raise ValueError(f"points must lie in [2, {_MAX_POINTS}], got {points}")
     if log_scale:
         return np.logspace(np.log10(t_min_k), np.log10(t_max_k), points)
     return np.linspace(t_min_k, t_max_k, points)
@@ -223,24 +229,14 @@ def excess_sweep(
     config: CtlsConfig, t_rot_values: Sequence[float], t_vib_k: float = 300.0
 ) -> np.ndarray:
     """Enantiomeric excess at each rotational temperature, in input order."""
-    return np.array(
-        [
-            enantiomeric_excess(config.populations(Temperatures(t, t_vib_k)))
-            for t in t_rot_values
-        ]
-    )
+    return enantiomeric_excess(loop_populations(config.levels, t_rot_values, t_vib_k))
 
 
 def population_sweep(
     config: CtlsConfig, t_rot_values: Sequence[float], t_vib_k: float = 300.0
 ) -> np.ndarray:
     """Level populations (p1, p2, p3) per temperature; shape (N, 3)."""
-    return np.array(
-        [
-            config.populations(Temperatures(t, t_vib_k)).as_array()
-            for t in t_rot_values
-        ]
-    )
+    return loop_populations(config.levels, t_rot_values, t_vib_k)
 
 
 def yield_sweep(
@@ -253,12 +249,7 @@ def yield_sweep(
 
     Columns are (P1, P2, P3, eta) with eta = P1 / 2.
     """
-    rows = []
-    for t in t_rot_values:
-        temps = Temperatures(t, t_vib_k)
-        proportions = [
-            global_proportion(level, config.constants, config.modes, temps, rel_tol)
-            for level in config.levels
-        ]
-        rows.append(proportions + [yield_eta(proportions[0])])
-    return np.array(rows)
+    proportions = global_proportion(
+        config.levels, config.constants, config.modes, t_rot_values, t_vib_k, rel_tol
+    )
+    return np.column_stack([proportions, yield_eta(proportions[:, 0])])

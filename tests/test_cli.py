@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,11 @@ import pytest
 import ctlsim
 from ctlsim.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from ctlsim.scenario import bundled_scenario_path
+
+# sha256 of stdout for commands on the bundled scenario, shared with the benchmark
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text(encoding="utf-8")
+)
 
 SMALL_SWEEP = """
 molecule:
@@ -175,6 +181,13 @@ class TestScenarioHandling:
         assert bundled_scenario_path().exists()
         code, out, _ = run_cli(capsys, "levels", "--jmax", "0")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_bundled_output_matches_golden_digest(self, capsys, monkeypatch, command):
+        monkeypatch.delenv("CTLS_SCENARIO_PATH", raising=False)
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[command]
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(

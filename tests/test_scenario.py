@@ -134,6 +134,8 @@ class TestValidation:
             "{t_rot_max_k: .inf}",
             "{t_rot_max_k: .nan}",
             "{points: 1}",
+            "{points: 10001}",
+            "{points: 100000000000000000}",
         ],
     )
     def test_bad_sweep_rejected(self, tmp_path, sweep):

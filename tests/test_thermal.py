@@ -238,38 +238,35 @@ class TestVibrationalPartition:
 class TestGlobalProportion:
     def test_ground_state_share_at_10k(self, rovib_config):
         # direct degeneracy-weighted summation gives ~0.17%
-        temps = Temperatures(10.0, 300.0)
         p1 = global_proportion(
-            rovib_config.levels[0], PROPANEDIOL, (OH_STRETCH,), temps
-        )
+            [rovib_config.levels[0]], PROPANEDIOL, (OH_STRETCH,), 10.0, 300.0
+        )[0, 0]
         assert p1 == pytest.approx(0.001736, rel=1e-2)
         assert 5e-4 < p1 < 3e-3
 
     def test_low_temperature_limit(self, rovib_config):
-        temps = Temperatures(0.01, 300.0)
         p1 = global_proportion(
-            rovib_config.levels[0], PROPANEDIOL, (OH_STRETCH,), temps
-        )
+            [rovib_config.levels[0]], PROPANEDIOL, (OH_STRETCH,), 0.01, 300.0
+        )[0, 0]
         assert p1 == pytest.approx(1.0, abs=1e-6)
 
     def test_excited_levels_negligible(self, rovib_config):
         for t_rot in (0.1, 10.0, 300.0):
-            temps = Temperatures(t_rot, 300.0)
             for level in rovib_config.levels[1:]:
                 assert (
-                    global_proportion(level, PROPANEDIOL, (OH_STRETCH,), temps) < 1e-7
+                    global_proportion([level], PROPANEDIOL, (OH_STRETCH,), t_rot, 300.0)[0, 0]
+                    < 1e-7
                 )
 
     def test_enumerated_shares_approach_one(self, propanediol):
         # at 1 K the J <= 8 rotational levels carry nearly all population
-        temps = Temperatures(1.0, 300.0)
         total = 0.0
         for j in range(9):
             for rot in rotor_levels(j, propanediol):
                 level = RoVibLevel(vib_quantum=0, vib_energy_thz=0.0, rot=rot)
                 total += rot.degeneracy * global_proportion(
-                    level, propanediol, (OH_STRETCH,), temps
-                )
+                    [level], propanediol, (OH_STRETCH,), 1.0, 300.0
+                )[0, 0]
         assert total <= 1.0 + 1e-9
         assert total > 0.999
 

@@ -5,6 +5,13 @@ constant) in GHz. The rotor Hamiltonian is built in the symmetric-top basis
 {|J,k>, k = -J..J} with the quantization axis along the inertial a axis,
 which keeps the A-dominant terms on the diagonal. The spectrum itself is
 representation independent.
+
+Each J block couples only k <-> k+-2 and is unchanged under k -> -k, so the
+Wang combinations (|k> +- |-k>)/sqrt(2) split it exactly into four blocks of
+about J/2 rows: E+ (k = 0, 2, ...), E- (k = 2, 4, ...), O+ and O-
+(k = 1, 3, ...). ``block_energies`` diagonalises those instead of the full
+block (Wang, Phys. Rev. 34, 243 (1929); King, Hainer and Cross, J. Chem.
+Phys. 11, 27 (1943)).
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ __all__ = [
     "RotorSpectrum",
     "block_energies",
     "build_rotor_block",
+    "level_index",
     "rotor_levels",
     "rotor_spectrum",
 ]
@@ -57,10 +65,7 @@ class RotorLevel:
     energy_ghz: float
 
     def __post_init__(self) -> None:
-        if self.j < 0:
-            raise ValueError(f"J must be non-negative, got {self.j}")
-        if not -self.j <= self.tau <= self.j:
-            raise ValueError(f"tau must lie in [-J, J], got tau={self.tau} for J={self.j}")
+        level_index(self.j, self.tau)
 
     @property
     def degeneracy(self) -> int:
@@ -78,6 +83,15 @@ class RotorSpectrum:
     @property
     def j_max(self) -> int:
         return max(level.j for level in self.levels)
+
+
+def level_index(j: int, tau: int) -> int:
+    """Index of |J_tau> among its block's ascending levels; the one check of J and tau."""
+    if j < 0:
+        raise ValueError(f"J must be non-negative, got {j}")
+    if not -j <= tau <= j:
+        raise ValueError(f"tau must lie in [-J, J], got tau={tau} for J={j}")
+    return tau + j
 
 
 def build_rotor_block(j: int, constants: RotationalConstants) -> np.ndarray:
@@ -106,9 +120,21 @@ def build_rotor_block(j: int, constants: RotationalConstants) -> np.ndarray:
 def block_energies(j: int, constants: RotationalConstants) -> np.ndarray:
     """Ascending eigenvalues of one J block, cached per (J, constants).
 
-    Every caller shares the cached array, so it is returned read-only.
+    The Wang blocks are sliced out of ``build_rotor_block`` at k >= 0 (row
+    j + k). Every caller shares the cached array, so it is returned read-only.
     """
-    energies = np.linalg.eigvalsh(build_rotor_block(j, constants))
+    block = build_rotor_block(j, constants)
+    e_plus = block[j::2, j::2].copy()
+    e_plus[0, 1:2] *= np.sqrt(2.0)  # <0|H|2> couples |0> to (|2> + |-2>)/sqrt(2)
+    e_plus[1:2, 0] *= np.sqrt(2.0)
+    wang = [e_plus, block[j + 2 :: 2, j + 2 :: 2]]
+    if j:
+        odd = block[j + 1 :: 2, j + 1 :: 2]
+        for sign in (1.0, -1.0):  # O+- gain +-<-1|H|1> on their |1> row
+            o = odd.copy()
+            o[0, 0] += sign * block[j - 1, j + 1]
+            wang.append(o)
+    energies = np.sort(np.concatenate([np.linalg.eigvalsh(w) for w in wang]))
     energies.flags.writeable = False
     return energies
 

@@ -22,6 +22,7 @@ from .transfer import (
     PURELY_ROTATIONAL,
     RO_VIBRATIONAL,
     CtlsConfig,
+    check_mode,
     default_sweep_grid,
     make_level,
 )
@@ -326,9 +327,12 @@ def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfi
 
     This is the one place where a loop rule's ``ValueError`` becomes a
     ``ScenarioError``: ``ctls.levels[i]`` names a bad level and
-    ``ctls.levels`` a bad combination of levels.
+    ``ctls.levels`` a bad combination of levels. An unknown ``mode``
+    argument is the caller's error, not the scenario's, so it raises a
+    plain ``ValueError``.
     """
     target_mode = scenario.mode if mode is None else mode
+    check_mode(target_mode)
     if target_mode == RO_VIBRATIONAL and not scenario.vibrational_modes:
         raise ScenarioError(
             "molecule.vibrational_modes",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ctls import Chirality, total_unitary
 from .propagator import apply_to_density, ideal_schedule, run_protocol
-from .rotor import RotationalConstants, RotorLevel, rotor_levels
+from .rotor import RotationalConstants, RotorLevel, level_index, rotor_levels
 from .thermal import (
     OccupationTriple,
     RoVibLevel,
@@ -36,6 +36,7 @@ __all__ = [
     "TransferResult",
     "rotor_level_for_labels",
     "make_level",
+    "check_mode",
     "thermal_initial_state",
     "final_states",
     "enantiomeric_excess",
@@ -83,9 +84,14 @@ def rotor_level_for_labels(
         tau = ka - kc
     else:
         raise ValueError(f"labeling must be one of {LABELINGS}, got {labeling!r}")
-    if not -j <= tau <= j:
-        raise ValueError(f"tau must lie in [-J, J], got tau={tau} for J={j}")
-    return rotor_levels(j, constants)[tau + j]
+    index = level_index(j, tau)  # before the block is built: J may be huge
+    return rotor_levels(j, constants)[index]
+
+
+def check_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless ``mode`` names a loop mode."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 def make_level(
@@ -122,8 +128,7 @@ class CtlsConfig:
     labeling: str = "tau"
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        check_mode(self.mode)
         if self.labeling not in LABELINGS:
             raise ValueError(f"labeling must be one of {LABELINGS}, got {self.labeling!r}")
         check_loop_levels(self.levels)

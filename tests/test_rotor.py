@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctlsim import rotor
 from ctlsim.rotor import (
     RotationalConstants,
+    block_energies,
     build_rotor_block,
     rotor_levels,
     rotor_spectrum,
@@ -95,6 +97,38 @@ class TestBuildRotorBlock:
         for axis, t1, t2 in ((b, c, a), (c, a, b)):
             other = np.linalg.eigvalsh(generic_block(j, axis, t1, t2))
             assert np.allclose(np.sort(other), reference, atol=1e-9)
+
+
+class TestBlockEnergies:
+    @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 7, 30, 120, 200])
+    @given(constants=constants_strategy())
+    @example(constants=RotationalConstants(10.0, 4.0, 4.0))  # B = C, prolate top
+    @example(constants=RotationalConstants(5.0, 5.0, 2.0))  # A = B, oblate top
+    @example(constants=RotationalConstants(3.0, 3.0, 3.0))  # A = B = C, spherical top
+    @settings(deadline=None, max_examples=15)
+    def test_wang_blocks_match_dense_oracle(self, j, constants):
+        energies = block_energies(j, constants)
+        dense = generic_block(j, constants.A, constants.B, constants.C)
+        reference = np.sort(np.linalg.eigvalsh(dense))
+        assert energies.shape == (2 * j + 1,)
+        assert np.all(np.diff(energies) >= 0.0)
+        assert not energies.flags.writeable
+        assert np.max(np.abs(energies - reference)) <= 1e-12 * max(1.0, reference[-1])
+
+    def test_no_block_larger_than_a_wang_block_is_diagonalised(self, monkeypatch):
+        # J = 188 is the last block the partition sum needs at 300 K
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(matrix):
+            shapes.append(matrix.shape)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(rotor.np.linalg, "eigvalsh", recording_eigvalsh)
+        block_energies.cache_clear()
+        block_energies(188, PROPANEDIOL)
+        assert max(n for n, _ in shapes) <= 188 // 2 + 1
+        assert sum(n for n, _ in shapes) == 2 * 188 + 1
 
 
 class TestRotorLevels:

@@ -206,6 +206,13 @@ class TestModeOverride:
         with pytest.raises(ScenarioError):
             to_ctls_config(scenario, RO_VIBRATIONAL)
 
+    def test_unknown_mode_is_the_callers_error(self):
+        scenario = parse_scenario(bundled_scenario_path())
+        expected = r"mode must be one of \('ro_vibrational', 'purely_rotational'\), got 'bogus'"
+        with pytest.raises(ValueError, match=expected) as info:
+            to_ctls_config(scenario, "bogus")
+        assert not isinstance(info.value, ScenarioError)
+
 
 class TestResolution:
     def test_explicit_wins(self, tmp_path, monkeypatch):

@@ -72,6 +72,13 @@ class TestLevelLabeling:
         with pytest.raises(ValueError):
             rotor_level_for_labels(PROPANEDIOL, 1, 0, 2, "tau")
 
+    @pytest.mark.parametrize("j, tau", [(1, -3), (1, 2), (10**7, 10**8)])
+    def test_tau_out_of_range_rejected_before_lookup(self, j, tau):
+        # tau = -3 would wrap to a valid negative index, and J = 10**7 would
+        # need a petabyte block if the labels were checked after the lookup
+        with pytest.raises(ValueError, match=rf"tau must lie in \[-J, J\], got tau={tau} for J={j}"):
+            rotor_level_for_labels(PROPANEDIOL, j, tau, 0, "tau")
+
     def test_unknown_labeling_rejected(self):
         with pytest.raises(ValueError):
             rotor_level_for_labels(PROPANEDIOL, 1, 0, 0, "other")

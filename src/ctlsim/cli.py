@@ -94,11 +94,10 @@ def _sweep_grid(scenario: ScenarioFile) -> np.ndarray:
 
 
 def _cmd_levels(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
-    spectrum = rotor_spectrum(scenario.constants, args.jmax)
     columns = ["j", "tau", "energy_ghz", "degeneracy"]
     rows = [
         [level.j, level.tau, level.energy_ghz, level.degeneracy]
-        for level in spectrum.levels
+        for level in rotor_spectrum(scenario.constants, args.jmax)
     ]
     return columns, rows
 

@@ -102,24 +102,6 @@ class CouplingSet:
                     f"{name} must drive transition {transition}, got {field.transition}"
                 )
 
-    @classmethod
-    def from_drives(
-        cls, drives: list[DriveField] | tuple[DriveField, ...],
-        chirality: Chirality | None = None,
-    ) -> "CouplingSet":
-        by_transition = {d.transition: d for d in drives}
-        if len(by_transition) != len(tuple(drives)):
-            raise ValueError("duplicate transitions in drive list")
-        missing = [t for t in _TRANSITIONS if t not in by_transition]
-        if missing:
-            raise ValueError(f"missing drive(s) for transition(s) {missing}")
-        return cls(
-            drive_12=by_transition[(1, 2)],
-            drive_23=by_transition[(2, 3)],
-            drive_13=by_transition[(1, 3)],
-            chirality=chirality,
-        )
-
     @property
     def drives(self) -> tuple[DriveField, DriveField, DriveField]:
         return (self.drive_12, self.drive_23, self.drive_13)

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "RotationalConstants",
     "RotorLevel",
-    "RotorSpectrum",
     "block_energies",
     "build_rotor_block",
     "level_index",
@@ -71,18 +70,6 @@ class RotorLevel:
     def degeneracy(self) -> int:
         """Number of magnetic sublevels, 2J + 1."""
         return 2 * self.j + 1
-
-
-@dataclass(frozen=True)
-class RotorSpectrum:
-    """All rotor levels for J = 0..j_max at fixed rotational constants."""
-
-    constants: RotationalConstants
-    levels: tuple[RotorLevel, ...]
-
-    @property
-    def j_max(self) -> int:
-        return max(level.j for level in self.levels)
 
 
 def level_index(j: int, tau: int) -> int:
@@ -148,11 +135,11 @@ def rotor_levels(j: int, constants: RotationalConstants) -> list[RotorLevel]:
     ]
 
 
-def rotor_spectrum(constants: RotationalConstants, j_max: int) -> RotorSpectrum:
-    """All levels for J = 0..j_max."""
+def rotor_spectrum(constants: RotationalConstants, j_max: int) -> list[RotorLevel]:
+    """All levels for J = 0..j_max, block by block in ascending J."""
     if j_max < 0:
         raise ValueError(f"j_max must be non-negative, got {j_max}")
     levels: list[RotorLevel] = []
     for j in range(j_max + 1):
         levels.extend(rotor_levels(j, constants))
-    return RotorSpectrum(constants=constants, levels=tuple(levels))
+    return levels

@@ -19,7 +19,6 @@ from .rotor import RotationalConstants
 from .thermal import Temperatures, VibrationalMode
 from .transfer import (
     LABELINGS,
-    PURELY_ROTATIONAL,
     RO_VIBRATIONAL,
     CtlsConfig,
     check_mode,
@@ -123,7 +122,10 @@ class _Reader:
             return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(self._label(key), f"expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:  # an int beyond the float range
+            raise ScenarioError(self._label(key), str(exc)) from exc
 
     def integer(self, key: str, default: int | None = None, required: bool = False) -> int | None:
         value = self.get(key, default=default, required=required)
@@ -201,10 +203,10 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
 
     ctls_reader = root.mapping("ctls", required=True)
     mode = ctls_reader.text("mode", required=True)
-    if mode not in (RO_VIBRATIONAL, PURELY_ROTATIONAL):
-        raise ScenarioError(
-            "ctls.mode", f"must be '{RO_VIBRATIONAL}' or '{PURELY_ROTATIONAL}', got {mode!r}"
-        )
+    try:
+        check_mode(mode)
+    except ValueError as exc:
+        raise ScenarioError("ctls.mode", str(exc)) from exc
     levels = []
     for label, item in ctls_reader.sequence("levels", required=True):
         level_reader = _Reader(item, label)
@@ -366,7 +368,6 @@ def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfi
             constants=scenario.constants,
             modes=scenario.vibrational_modes,
             levels=tuple(levels),
-            labeling=scenario.labeling,
         )
     except ValueError as exc:
         raise ScenarioError("ctls.levels", str(exc)) from exc

@@ -27,7 +27,6 @@ __all__ = [
     "RoVibLevel",
     "OccupationTriple",
     "ConvergenceError",
-    "boltzmann_exponent",
     "check_loop_levels",
     "loop_populations",
     "ctls_populations",
@@ -98,10 +97,6 @@ class RoVibLevel:
     def vib_energy_ghz(self) -> float:
         return 1000.0 * self.vib_energy_thz
 
-    @property
-    def total_energy_ghz(self) -> float:
-        return self.vib_energy_ghz + self.rot.energy_ghz
-
 
 @dataclass(frozen=True)
 class OccupationTriple:
@@ -122,13 +117,6 @@ class OccupationTriple:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3])
-
-
-def boltzmann_exponent(level_freq_ghz: float, t_k: float) -> float:
-    """Dimensionless h*f / (kB*T) for a level frequency in GHz."""
-    if t_k <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {t_k}")
-    return level_freq_ghz * K_PER_GHZ / t_k
 
 
 def _temperature_grid(name: str, t_k: float | np.ndarray, positive: bool = False) -> np.ndarray:
@@ -249,7 +237,7 @@ def vibrational_partition(
     for mode in modes:
         if t_vib_k == 0.0:
             continue  # only v = 0 survives; the ladder sum is 1
-        x = boltzmann_exponent(1000.0 * mode.frequency_thz, t_vib_k)
+        x = 1000.0 * mode.frequency_thz * K_PER_GHZ / t_vib_k
         z *= sum(math.exp(-v * x) for v in range(mode.max_quanta + 1))
     return z
 
@@ -260,7 +248,6 @@ def global_proportion(
     modes: Iterable[VibrationalMode],
     t_rot_k: float | np.ndarray,
     t_vib_k: float,
-    rel_tol: float = 1e-8,
 ) -> np.ndarray:
     """Population share of each level against the full ro-vibrational manifold.
 
@@ -270,7 +257,7 @@ def global_proportion(
     computed once for the grid.
     """
     t_rot = _temperature_grid("t_rot_k", t_rot_k, positive=True)
-    z_rot = rotational_partition(constants, t_rot, rel_tol)
+    z_rot = rotational_partition(constants, t_rot)
     z_vib = vibrational_partition(modes, t_vib_k)
     if t_vib_k == 0.0:
         p_vib = np.array([float(lv.vib_quantum == 0) for lv in levels])

@@ -33,14 +33,11 @@ __all__ = [
     "PURELY_ROTATIONAL",
     "LABELINGS",
     "CtlsConfig",
-    "TransferResult",
     "rotor_level_for_labels",
     "make_level",
     "check_mode",
-    "thermal_initial_state",
     "final_states",
     "enantiomeric_excess",
-    "run_transfer",
     "excess_sweep",
     "population_sweep",
     "yield_sweep",
@@ -125,12 +122,9 @@ class CtlsConfig:
     constants: RotationalConstants
     modes: tuple[VibrationalMode, ...]
     levels: tuple[RoVibLevel, RoVibLevel, RoVibLevel]
-    labeling: str = "tau"
 
     def __post_init__(self) -> None:
         check_mode(self.mode)
-        if self.labeling not in LABELINGS:
-            raise ValueError(f"labeling must be one of {LABELINGS}, got {self.labeling!r}")
         check_loop_levels(self.levels)
         quanta = tuple(level.vib_quantum for level in self.levels)
         if self.mode == RO_VIBRATIONAL and (quanta[0] != 0 or 0 in quanta[1:]):
@@ -146,26 +140,8 @@ class CtlsConfig:
         return ctls_populations(self.levels, temps)
 
 
-@dataclass(frozen=True)
-class TransferResult:
-    """Initial and final level occupations of one protocol run."""
-
-    initial: OccupationTriple
-    final_left: tuple[float, float, float]
-    final_right: tuple[float, float, float]
-    excess: float
-    temperatures: Temperatures
-
-
-def thermal_initial_state(populations: OccupationTriple) -> np.ndarray:
-    """Diagonal density matrix diag(p1, p2, p3)."""
-    return np.diag(populations.as_array()).astype(complex)
-
-
 def final_states(
-    populations: OccupationTriple,
-    method: str = "analytic",
-    steps_per_step: int = 2000,
+    populations: OccupationTriple, method: str = "analytic"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Density matrices after the protocol for the two handednesses.
 
@@ -174,14 +150,14 @@ def final_states(
     the left-handed final occupations are (p1, p3, p2) and the right-handed
     ones (p2, p1, p3).
     """
-    rho = thermal_initial_state(populations)
+    rho = np.diag(populations.as_array()).astype(complex)
     if method == "analytic":
         u_left = total_unitary(Chirality.L)
         u_right = total_unitary(Chirality.R)
     elif method == "numeric":
         schedule = ideal_schedule()
-        u_left = run_protocol(schedule, Chirality.L, steps_per_step)
-        u_right = run_protocol(schedule, Chirality.R, steps_per_step)
+        u_left = run_protocol(schedule, Chirality.L)
+        u_right = run_protocol(schedule, Chirality.R)
     else:
         raise ValueError(f"method must be 'analytic' or 'numeric', got {method!r}")
     return apply_to_density(u_left, rho), apply_to_density(u_right, rho)
@@ -199,21 +175,6 @@ def enantiomeric_excess(populations: OccupationTriple | np.ndarray) -> float | n
     if np.any(p1 + p3 == 0.0):
         raise ValueError("excess undefined: levels 1 and 3 are both unoccupied")
     return np.abs(p3 - p1) / (p3 + p1)
-
-
-def run_transfer(
-    config: CtlsConfig, temps: Temperatures, method: str = "analytic"
-) -> TransferResult:
-    """Full experiment at fixed temperatures."""
-    populations = config.populations(temps)
-    rho_left, rho_right = final_states(populations, method=method)
-    return TransferResult(
-        initial=populations,
-        final_left=tuple(np.diag(rho_left).real),
-        final_right=tuple(np.diag(rho_right).real),
-        excess=enantiomeric_excess(populations),
-        temperatures=temps,
-    )
 
 
 def default_sweep_grid(
@@ -248,13 +209,12 @@ def yield_sweep(
     config: CtlsConfig,
     t_rot_values: Sequence[float],
     t_vib_k: float = 300.0,
-    rel_tol: float = 1e-8,
 ) -> np.ndarray:
     """Whole-manifold proportions and yield per temperature; shape (N, 4).
 
     Columns are (P1, P2, P3, eta) with eta = P1 / 2.
     """
     proportions = global_proportion(
-        config.levels, config.constants, config.modes, t_rot_values, t_vib_k, rel_tol
+        config.levels, config.constants, config.modes, t_rot_values, t_vib_k
     )
     return np.column_stack([proportions, yield_eta(proportions[:, 0])])

@@ -206,6 +206,28 @@ class TestScenarioHandling:
         assert code == EXIT_SCHEMA
         assert "A >= B >= C" in err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("A: 8.5244", "A: 1" + "0" * 400, "molecule.rotational_constants_ghz.A: int too large"),
+            ("t_rot_k: 10.0", "t_rot_k: 1" + "0" * 400, "temperatures.t_rot_k: int too large"),
+            (
+                "mode: ro_vibrational",
+                "mode: bogus",
+                "ctls.mode: mode must be one of ('ro_vibrational', 'purely_rotational'), "
+                "got 'bogus'",
+            ),
+        ],
+        ids=["huge-int-A", "huge-int-t_rot", "unknown-mode"],
+    )
+    def test_bad_value_exit_3(self, capsys, tmp_path, old, new, message):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(SMALL_SWEEP.replace(old, new), encoding="utf-8")
+        code, out, err = run_cli(capsys, "populations", "--scenario", str(bad))
+        assert code == EXIT_SCHEMA
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("command", ["levels", "protocol", "populations"])
     @pytest.mark.parametrize(
         "new",

@@ -61,15 +61,9 @@ class TestSignedCouplings:
         with pytest.raises(ValueError):
             signed_couplings(signed, Chirality.R)
 
-    def test_missing_transition_rejected(self):
-        with pytest.raises(ValueError):
-            CouplingSet.from_drives([zero_drive((1, 2)), zero_drive((2, 3))])
-
-    def test_duplicate_transition_rejected(self):
-        with pytest.raises(ValueError):
-            CouplingSet.from_drives(
-                [zero_drive((1, 2)), zero_drive((1, 2)), zero_drive((1, 3))]
-            )
+    def test_drive_on_wrong_transition_rejected(self):
+        with pytest.raises(ValueError, match=r"drive_13 must drive transition \(1, 3\)"):
+            CouplingSet(zero_drive((1, 2)), zero_drive((2, 3)), zero_drive((1, 2)))
 
     def test_bad_transition_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import pkgutil
 import re
 from pathlib import Path
 
@@ -39,3 +40,20 @@ def test_readme_library_example_runs_and_matches_namespace():
         for alias in node.names
     }
     assert set(ctlsim.__all__) == imported
+
+
+def test_every_all_entry_resolves():
+    # `from ctlsim.<module> import *` fails on a name left in __all__ after
+    # its definition is deleted
+    modules = [ctlsim] + [
+        importlib.import_module(f"ctlsim.{info.name}")
+        for info in pkgutil.iter_modules(ctlsim.__path__)
+    ]
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert len(modules) > 1
+    assert stale == []

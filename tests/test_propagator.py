@@ -173,9 +173,7 @@ class TestInteractionHamiltonian:
         assert np.abs(h - expected).max() < 1e-15
 
     def test_all_zero(self):
-        fields = CouplingSet.from_drives(
-            [zero_drive((1, 2)), zero_drive((2, 3)), zero_drive((1, 3))]
-        )
+        fields = CouplingSet(zero_drive((1, 2)), zero_drive((2, 3)), zero_drive((1, 3)))
         assert np.abs(interaction_hamiltonian(0.0, fields)).max() == 0.0
 
     def test_step_b_bright_state_form(self):
@@ -209,9 +207,7 @@ class TestInteractionHamiltonian:
 
 class TestPropagate:
     def test_zero_hamiltonian_gives_identity(self):
-        fields = CouplingSet.from_drives(
-            [zero_drive((1, 2)), zero_drive((2, 3)), zero_drive((1, 3))]
-        )
+        fields = CouplingSet(zero_drive((1, 2)), zero_drive((2, 3)), zero_drive((1, 3)))
         u = propagate(fields, (0.0, 1.0), TimeGrid(10))
         assert np.abs(u - np.eye(3)).max() < 1e-15
 

@@ -1,5 +1,7 @@
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctlsim.scenario import (
     ScenarioError,
@@ -10,7 +12,9 @@ from ctlsim.scenario import (
     scenario_from_mapping,
     to_ctls_config,
 )
-from ctlsim.transfer import PURELY_ROTATIONAL, RO_VIBRATIONAL
+from ctlsim.transfer import LABELINGS, PURELY_ROTATIONAL, RO_VIBRATIONAL
+
+from .conftest import label_digits
 
 MINIMAL = """
 molecule:
@@ -25,10 +29,70 @@ ctls:
 """
 
 
+HUGE_INT = "1" + "0" * 400  # a YAML int beyond the float range
+UNKNOWN_MODE = "mode must be one of ('ro_vibrational', 'purely_rotational'), got 'bogus'"
+
+
 def write(tmp_path, text):
     path = tmp_path / "case.scenario"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+@st.composite
+def scenario_mappings(draw):
+    """A raw scenario over the whole schema: both labelings and modes, any
+    top, zero temperatures, any sweep bounds and names."""
+    names = st.text(max_size=20)
+    labeling = draw(st.sampled_from(LABELINGS))
+    mode = draw(st.sampled_from((RO_VIBRATIONAL, PURELY_ROTATIONAL)))
+    a, b, c = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3)), reverse=True)
+    vib_modes = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "name": names,
+                    "frequency_thz": st.floats(1e-3, 1e3),
+                    "max_quanta": st.integers(1, 10),
+                }
+            ),
+            min_size=1 if mode == RO_VIBRATIONAL else 0,
+            max_size=3,
+        )
+    )
+    excited = (
+        st.integers(1, vib_modes[0]["max_quanta"]) if mode == RO_VIBRATIONAL else st.just(0)
+    )
+    picks = draw(
+        st.lists(
+            st.sampled_from(label_digits(labeling)),
+            min_size=2, max_size=2, unique_by=lambda d: (d[0], d[3]),
+        )
+    )
+    levels = [{"vib": 0, "J": 0, "tau": 0, "M": 0}] + [
+        {"vib": draw(excited), "J": j, "tau": first, "M": second}
+        for j, first, second, _ in picks
+    ]
+    temperature = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
+    t_min, t_max = sorted(
+        draw(st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2, unique=True))
+    )
+    return {
+        "molecule": {
+            "name": draw(names),
+            "rotational_constants_ghz": {"A": a, "B": b, "C": c},
+            "vibrational_modes": vib_modes,
+        },
+        "ctls": {"mode": mode, "levels": levels},
+        "temperatures": {"t_rot_k": draw(temperature), "t_vib_k": draw(temperature)},
+        "sweep": {
+            "t_rot_min_k": t_min,
+            "t_rot_max_k": t_max,
+            "points": draw(st.integers(2, 10_000)),
+            "log_scale": draw(st.booleans()),
+        },
+        "labeling": labeling,
+    }
 
 
 class TestBundledScenario:
@@ -148,6 +212,29 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             parse_scenario(write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "text, field, message",
+        [
+            (
+                MINIMAL.replace("A: 3.0", f"A: {HUGE_INT}"),
+                "molecule.rotational_constants_ghz.A",
+                "int too large to convert to float",
+            ),
+            (
+                MINIMAL + f"\ntemperatures: {{t_rot_k: {HUGE_INT}}}\n",
+                "temperatures.t_rot_k",
+                "int too large to convert to float",
+            ),
+            (MINIMAL.replace("mode: purely_rotational", "mode: bogus"), "ctls.mode", UNKNOWN_MODE),
+        ],
+        ids=["huge-int-A", "huge-int-t_rot", "unknown-mode"],
+    )
+    def test_bad_value_names_field(self, tmp_path, text, field, message):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(write(tmp_path, text))
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {message}"
+
     def test_bad_labeling_rejected(self, tmp_path):
         text = MINIMAL + "\nlabeling: other\n"
         with pytest.raises(ScenarioError) as err:
@@ -178,6 +265,12 @@ class TestRoundTrip:
         scenario = parse_scenario(write(tmp_path, MINIMAL))
         again = scenario_from_mapping(yaml.safe_load(dump_scenario(scenario)))
         assert again == scenario
+
+    @given(scenario_mappings())
+    @settings(deadline=None, max_examples=100)
+    def test_dump_then_parse_is_identity(self, data):
+        scenario = scenario_from_mapping(data)
+        assert scenario_from_mapping(yaml.safe_load(dump_scenario(scenario))) == scenario
 
 
 class TestModeOverride:

@@ -34,7 +34,7 @@ from ctlsim.transfer import (
     yield_sweep,
 )
 
-from .conftest import OH_STRETCH, PROPANEDIOL, build_config
+from .conftest import OH_STRETCH, PROPANEDIOL, build_config, label_digits
 
 
 def reference_populations(levels, t_rot, t_vib):
@@ -86,19 +86,6 @@ def reference_yield(config, t_rot, t_vib):
     return row + [row[0] / 2.0]
 
 
-def _label_digits(labeling):
-    """(J, first, second, tau) for every valid label of the J = 1 and 2 blocks."""
-    digits = []
-    for j in (1, 2):
-        for first in range(-j, j + 1):
-            for second in range(-j, j + 1):
-                if labeling == "tau":
-                    digits.append((j, first, second, first))
-                elif first >= 0 and second >= 0 and first + second in (j, j + 1):
-                    digits.append((j, first, second, first - second))
-    return digits
-
-
 @st.composite
 def loop_configs(draw, smallest=0.1, largest=100.0):
     """A loop over |0_00> and two distinct J = 1, 2 levels of a random top."""
@@ -112,7 +99,7 @@ def loop_configs(draw, smallest=0.1, largest=100.0):
     excited = st.integers(1, vib_mode.max_quanta) if mode == RO_VIBRATIONAL else st.just(0)
     picks = draw(
         st.lists(
-            st.sampled_from(_label_digits(labeling)),
+            st.sampled_from(label_digits(labeling)),
             min_size=2, max_size=2, unique_by=lambda d: (d[0], d[3]),
         )
     )
@@ -120,7 +107,7 @@ def loop_configs(draw, smallest=0.1, largest=100.0):
         make_level(constants, (vib_mode,), draw(excited), j, first, second, labeling)
         for j, first, second, _ in picks
     ]
-    return CtlsConfig(mode, constants, (vib_mode,), tuple(levels), labeling)
+    return CtlsConfig(mode, constants, (vib_mode,), tuple(levels))
 
 
 T_VIB = st.one_of(st.just(0.0), st.floats(1.0, 1000.0))

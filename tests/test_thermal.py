@@ -13,7 +13,6 @@ from ctlsim.thermal import (
     RoVibLevel,
     Temperatures,
     VibrationalMode,
-    boltzmann_exponent,
     ctls_populations,
     global_proportion,
     rotational_partition,
@@ -39,27 +38,6 @@ def test_kelvin_per_gigahertz_constant():
     assert K_PER_GHZ == pytest.approx(0.04799243073366221, abs=1e-15)
 
 
-class TestBoltzmannExponent:
-    def test_example_rotational(self):
-        assert boltzmann_exponent(12.1598, 10.0) == pytest.approx(
-            0.05835783592351858, rel=1e-12
-        )
-
-    def test_zero_frequency(self):
-        assert boltzmann_exponent(0.0, 7.3) == 0.0
-
-    def test_example_vibrational(self):
-        # OH stretch, 100950 GHz at 300 K
-        assert boltzmann_exponent(100950.0, 300.0) == pytest.approx(
-            16.149452941877335, rel=1e-12
-        )
-
-    @pytest.mark.parametrize("t", [0.0, -1.0])
-    def test_nonpositive_temperature_rejected(self, t):
-        with pytest.raises(ValueError):
-            boltzmann_exponent(1.0, t)
-
-
 class TestCtlsPopulations:
     def test_identical_energies_equipartition(self):
         levels = [bare_level(i, 5.0) for i in range(1, 4)]
@@ -79,7 +57,7 @@ class TestCtlsPopulations:
             bare_level(3, 9.0, vib_thz=0.0),
         ]
         p = ctls_populations(levels, Temperatures(0.0, 300.0))
-        w2 = math.exp(-boltzmann_exponent(100950.0, 300.0))
+        w2 = math.exp(-100950.0 * K_PER_GHZ / 300.0)
         assert p.p3 == 0.0
         assert p.p2 / p.p1 == pytest.approx(w2, rel=1e-12)
 
@@ -143,7 +121,7 @@ class TestCtlsPopulations:
         ]
         p = ctls_populations(levels, Temperatures(10.0, 0.0))
         assert p.p1 == 0.0
-        ratio = math.exp(-boltzmann_exponent(5.0, 10.0))
+        ratio = math.exp(-5.0 * K_PER_GHZ / 10.0)
         # exponents ~1e4 leave ~1e-12 of cancellation noise in the ratio
         assert p.p3 / p.p2 == pytest.approx(ratio, rel=1e-9)
 
@@ -216,7 +194,7 @@ class TestVibrationalPartition:
         assert vibrational_partition((), 300.0) == 1.0
 
     def test_oh_stretch_at_300k(self, oh_stretch):
-        x = boltzmann_exponent(100950.0, 300.0)
+        x = 100950.0 * K_PER_GHZ / 300.0
         expected = sum(math.exp(-v * x) for v in range(6))
         assert vibrational_partition((oh_stretch,), 300.0) == pytest.approx(
             expected, rel=1e-14

@@ -16,8 +16,6 @@ from ctlsim.transfer import (
     make_level,
     population_sweep,
     rotor_level_for_labels,
-    run_transfer,
-    thermal_initial_state,
     yield_sweep,
 )
 
@@ -115,25 +113,9 @@ class TestCtlsConfig:
         assert rotational_config.levels[2].vib_quantum == 0
         # vibrational ladder energy is quantum * mode frequency
         assert rovib_config.levels[1].vib_energy_thz == pytest.approx(100.95)
-        assert rovib_config.levels[1].total_energy_ghz == pytest.approx(
+        level = rovib_config.levels[1]
+        assert level.vib_energy_ghz + level.rot.energy_ghz == pytest.approx(
             100950.0 + 11.3131, abs=1e-6
-        )
-
-
-class TestThermalInitialState:
-    def test_pure_ground(self):
-        rho = thermal_initial_state(triple(1.0, 0.0, 0.0))
-        assert np.abs(rho - np.diag([1.0, 0.0, 0.0])).max() == 0.0
-
-    def test_maximally_mixed(self):
-        rho = thermal_initial_state(triple(1 / 3, 1 / 3, 1 / 3))
-        assert np.abs(rho - np.eye(3) / 3.0).max() < 1e-15
-
-    @given(triples_strategy())
-    @settings(deadline=None, max_examples=30)
-    def test_unit_trace(self, populations):
-        assert np.trace(thermal_initial_state(populations)).real == pytest.approx(
-            1.0, abs=1e-12
         )
 
 
@@ -222,22 +204,6 @@ class TestEnantiomericExcess:
             scaled_config.populations(Temperatures(20.0, 300.0))
         )
         assert rescaled == pytest.approx(base, rel=1e-12)
-
-
-class TestRunTransfer:
-    def test_permutation_structure(self, rotational_config):
-        result = run_transfer(rotational_config, Temperatures(10.0, 300.0))
-        p = result.initial
-        assert result.final_left == pytest.approx([p.p1, p.p3, p.p2], abs=1e-14)
-        assert result.final_right == pytest.approx([p.p2, p.p1, p.p3], abs=1e-14)
-        assert result.excess == pytest.approx(EPS_10K, abs=1e-12)
-
-    def test_numeric_method_agrees(self, rotational_config):
-        temps = Temperatures(10.0, 300.0)
-        analytic = run_transfer(rotational_config, temps, method="analytic")
-        numeric = run_transfer(rotational_config, temps, method="numeric")
-        assert numeric.final_left == pytest.approx(analytic.final_left, abs=1e-8)
-        assert numeric.final_right == pytest.approx(analytic.final_right, abs=1e-8)
 
 
 class TestSweeps:

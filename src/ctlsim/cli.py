@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 computation failure, 2 unreadable scenario file,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
@@ -40,8 +39,6 @@ from .transfer import (
 
 __all__ = ["main", "build_parser"]
 
-_FIGURES = ("fig2c", "fig2d", "fig3", "fig4")
-
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_IO = 2
@@ -67,15 +64,12 @@ def _format_number(value: Any) -> str:
     return str(value)
 
 
-def _emit(columns: Sequence[str], rows: Sequence[Sequence[Any]], fmt: str, stream) -> None:
+def _emit(columns: Sequence[str], rows: Sequence[Sequence[Any]], fmt: str) -> str:
     if fmt == "csv":
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(_format_number(v) for v in row) + "\n")
-    else:
-        records = [dict(zip(columns, (_json_value(v) for v in row))) for row in rows]
-        json.dump(records, stream, indent=2)
-        stream.write("\n")
+        lines = [",".join(columns)] + [",".join(_format_number(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    records = [dict(zip(columns, (_json_value(v) for v in row))) for row in rows]
+    return json.dumps(records, indent=2) + "\n"
 
 
 def _json_value(value: Any) -> Any:
@@ -84,13 +78,6 @@ def _json_value(value: Any) -> Any:
     if isinstance(value, (np.floating,)):
         return float(value)
     return value
-
-
-def _sweep_grid(scenario: ScenarioFile) -> np.ndarray:
-    sweep = scenario.sweep
-    return default_sweep_grid(
-        sweep.t_rot_min_k, sweep.t_rot_max_k, sweep.points, sweep.log_scale
-    )
 
 
 def _cmd_levels(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
@@ -137,40 +124,32 @@ def _cmd_protocol(scenario: ScenarioFile, args) -> tuple[list[str], list[list[An
     return columns, rows
 
 
-def _cmd_excess(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
-    grid = _sweep_grid(scenario)
-    eps = excess_sweep(to_ctls_config(scenario), grid, scenario.temperatures.t_vib_k)
-    return ["t_rot_k", "epsilon"], [[t, e] for t, e in zip(grid, eps)]
+_POPULATIONS = ["p1", "p2", "p3"]
+_PROPORTIONS = ["P1", "P2", "P3", "eta"]
+
+# target: (sweep kernel, loop modes, columns after t_rot_k). A mode of None
+# keeps the scenario's; the figure targets fix theirs.
+_SWEEPS = {
+    "excess": ("excess", (None,), ["epsilon"]),
+    "yield": ("yield", (None,), _PROPORTIONS),
+    "fig2c": ("population", (RO_VIBRATIONAL,), _POPULATIONS),
+    "fig2d": ("population", (PURELY_ROTATIONAL,), _POPULATIONS),
+    "fig3": ("excess", (RO_VIBRATIONAL, PURELY_ROTATIONAL), ["epsilon_rovib", "epsilon_rot"]),
+    "fig4": ("yield", (RO_VIBRATIONAL,), _PROPORTIONS),
+}
 
 
-def _cmd_yield(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
-    grid = _sweep_grid(scenario)
-    table = yield_sweep(to_ctls_config(scenario), grid, scenario.temperatures.t_vib_k)
-    return (
-        ["t_rot_k", "P1", "P2", "P3", "eta"],
-        [[t, *row] for t, row in zip(grid, table)],
-    )
-
-
-def _cmd_figure(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
-    grid = _sweep_grid(scenario)
-    t_vib = scenario.temperatures.t_vib_k
-    if args.target in ("fig2c", "fig2d"):
-        mode = RO_VIBRATIONAL if args.target == "fig2c" else PURELY_ROTATIONAL
-        table = population_sweep(to_ctls_config(scenario, mode), grid, t_vib)
-        return ["t_rot_k", "p1", "p2", "p3"], [[t, *row] for t, row in zip(grid, table)]
-    if args.target == "fig3":
-        eps_rovib = excess_sweep(to_ctls_config(scenario, RO_VIBRATIONAL), grid, t_vib)
-        eps_rot = excess_sweep(to_ctls_config(scenario, PURELY_ROTATIONAL), grid, t_vib)
-        return (
-            ["t_rot_k", "epsilon_rovib", "epsilon_rot"],
-            [[t, a, b] for t, a, b in zip(grid, eps_rovib, eps_rot)],
-        )
-    table = yield_sweep(to_ctls_config(scenario, RO_VIBRATIONAL), grid, t_vib)
-    return (
-        ["t_rot_k", "P1", "P2", "P3", "eta"],
-        [[t, *row] for t, row in zip(grid, table)],
-    )
+def _cmd_sweep(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
+    kernel, modes, columns = _SWEEPS[getattr(args, "target", args.command)]
+    # looked up per call, so that names rebound on this module take effect
+    sweep = {"excess": excess_sweep, "population": population_sweep, "yield": yield_sweep}[kernel]
+    spec = scenario.sweep
+    grid = default_sweep_grid(spec.t_rot_min_k, spec.t_rot_max_k, spec.points, spec.log_scale)
+    tables = [
+        sweep(to_ctls_config(scenario, mode), grid, scenario.temperatures.t_vib_k)
+        for mode in modes
+    ]
+    return ["t_rot_k", *columns], [[t, *row] for t, row in zip(grid, np.column_stack(tables))]
 
 
 _PLOT_SPECS = {
@@ -201,10 +180,25 @@ _COMMANDS = {
     "levels": _cmd_levels,
     "populations": _cmd_populations,
     "protocol": _cmd_protocol,
-    "excess": _cmd_excess,
-    "yield": _cmd_yield,
-    "figure": _cmd_figure,
+    "excess": _cmd_sweep,
+    "yield": _cmd_sweep,
+    "figure": _cmd_sweep,
 }
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -225,7 +219,7 @@ def build_parser() -> _Parser:
         )
 
     levels = subparsers.add_parser("levels", help="rotor level table")
-    levels.add_argument("--jmax", type=int, default=3)
+    levels.add_argument("--jmax", type=_at_least(0), default=3)
     add_common(levels)
 
     populations = subparsers.add_parser("populations", help="loop thermal populations")
@@ -235,7 +229,7 @@ def build_parser() -> _Parser:
         "protocol", help="closed-form and propagated composite unitaries"
     )
     protocol.add_argument("--chirality", choices=("L", "R", "both"), default="both")
-    protocol.add_argument("--steps", type=int, default=2000)
+    protocol.add_argument("--steps", type=_at_least(1), default=2000)
     add_common(protocol)
 
     excess = subparsers.add_parser("excess", help="excess vs rotational temperature")
@@ -245,7 +239,7 @@ def build_parser() -> _Parser:
     add_common(yld)
 
     figure = subparsers.add_parser("figure", help="emit one result-curve dataset")
-    figure.add_argument("target", choices=_FIGURES)
+    figure.add_argument("target", choices=tuple(_PLOT_SPECS))
     figure.add_argument(
         "--emit-plotscript",
         action="store_true",
@@ -258,25 +252,16 @@ def build_parser() -> _Parser:
 
 def _run(args) -> int:
     scenario = parse_scenario(resolve_scenario_path(args.scenario))
-
     if args.dump_config:
         text = dump_scenario(scenario)
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-
-    columns, rows = _COMMANDS[args.command](scenario, args)
-
-    buffer = io.StringIO()
-    _emit(columns, rows, args.format, buffer)
-    if args.output:
-        Path(args.output).write_text(buffer.getvalue(), encoding="utf-8", newline="")
     else:
-        sys.stdout.write(buffer.getvalue())
+        text = _emit(*_COMMANDS[args.command](scenario, args), args.format)
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8", newline="")
+    else:
+        sys.stdout.write(text)
 
-    if getattr(args, "emit_plotscript", False):
+    if getattr(args, "emit_plotscript", False) and not args.dump_config:
         script = _plotscript(args.target, Path(args.output))
         Path(str(args.output) + ".gp").write_text(script, encoding="utf-8")
     return EXIT_OK
@@ -289,8 +274,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
 
-    if getattr(args, "emit_plotscript", False) and not args.output:
-        print("ctlsim figure: error: --emit-plotscript requires --output", file=sys.stderr)
+    if getattr(args, "emit_plotscript", False) and (not args.output or args.format != "csv"):
+        print(
+            "ctlsim figure: error: --emit-plotscript requires --output and --format csv",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
 
     try:

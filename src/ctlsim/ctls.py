@@ -49,12 +49,12 @@ class DriveField:
     ``rabi`` is the complex coupling amplitude in rad/s as a function of
     time in seconds. It takes a scalar or an array of times and returns a
     value of the same shape; a time-independent amplitude may return a
-    scalar for any input, which callers broadcast.
+    scalar for any input, which callers broadcast. A detuning Delta is a
+    phase e^{i Delta t} folded into ``rabi``.
     """
 
     transition: tuple[int, int]
     rabi: RabiFunction
-    detuning: float = 0.0
 
     def __post_init__(self) -> None:
         n, m = self.transition
@@ -65,18 +65,10 @@ class DriveField:
             )
 
 
-def constant_drive(
-    transition: tuple[int, int],
-    amplitude: complex,
-    detuning: float = 0.0,
-) -> DriveField:
+def constant_drive(transition: tuple[int, int], amplitude: complex) -> DriveField:
     """Drive with a time-independent amplitude."""
     value = complex(amplitude)
-    return DriveField(
-        transition=transition,
-        rabi=lambda t: value,
-        detuning=detuning,
-    )
+    return DriveField(transition=transition, rabi=lambda t: value)
 
 
 def zero_drive(transition: tuple[int, int]) -> DriveField:
@@ -109,11 +101,7 @@ class CouplingSet:
 
 def _negated(field: DriveField) -> DriveField:
     base = field.rabi
-    return DriveField(
-        transition=field.transition,
-        rabi=lambda t: -base(t),
-        detuning=field.detuning,
-    )
+    return DriveField(transition=field.transition, rabi=lambda t: -base(t))
 
 
 def signed_couplings(base: CouplingSet, chirality: Chirality) -> CouplingSet:

@@ -242,7 +242,7 @@ def step_couplings(step: ProtocolStep) -> CouplingSet:
 
 
 def interaction_hamiltonian(t: float | np.ndarray, fields: CouplingSet) -> np.ndarray:
-    """H(t)/hbar in rad/s: sum of W_nm(t) e^{i Delta t} |n><m| plus h.c.
+    """H(t)/hbar in rad/s: sum of W_nm(t) |n><m| plus h.c.
 
     A scalar ``t`` gives a (3, 3) matrix; a 1-D array of n times gives the
     (n, 3, 3) stack. A drive whose ``rabi`` returns a scalar is broadcast.
@@ -251,10 +251,7 @@ def interaction_hamiltonian(t: float | np.ndarray, fields: CouplingSet) -> np.nd
     h = np.zeros(times.shape + (3, 3), dtype=complex)
     for field in fields.drives:
         n, m = field.transition
-        amplitude = np.asarray(field.rabi(times), dtype=complex)
-        if field.detuning != 0.0:
-            amplitude = amplitude * np.exp(1j * field.detuning * times)
-        h[..., n - 1, m - 1] += amplitude
+        h[..., n - 1, m - 1] += np.asarray(field.rabi(times), dtype=complex)
     return h + h.conj().swapaxes(-1, -2)
 
 

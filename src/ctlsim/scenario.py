@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 import yaml
 
@@ -42,10 +42,7 @@ __all__ = [
 
 SCENARIO_PATH_ENV = "CTLS_SCENARIO_PATH"
 
-_DEFAULT_T_ROT_K = 10.0
-_DEFAULT_T_VIB_K = 300.0
-_DEFAULT_SWEEP = {"t_rot_min_k": 1e-3, "t_rot_max_k": 300.0, "points": 200, "log_scale": True}
-_DEFAULT_MAX_QUANTA = 5
+_T = TypeVar("_T")
 
 
 class ScenarioError(ValueError):
@@ -90,7 +87,12 @@ class ScenarioFile:
 
 
 class _Reader:
-    """Mapping walker that tracks the key path and rejects unknown keys."""
+    """Mapping walker that tracks the key path and rejects unknown keys.
+
+    ``get`` is the one place that decides a key is absent: a key written
+    with no value (null) counts as absent, so it takes its default or, when
+    required, is reported missing.
+    """
 
     def __init__(self, data: Mapping[str, Any], path: str):
         if not isinstance(data, Mapping):
@@ -100,70 +102,67 @@ class _Reader:
         self._seen: set[str] = set()
 
     def _label(self, key: str) -> str:
-        return f"{self._path}.{key}" if self._path else key
+        return f"{self._path}.{key}" if self._path else str(key)
 
     def get(self, key: str, default: Any = None, required: bool = False) -> Any:
         self._seen.add(key)
-        if key not in self._data:
+        value = self._data.get(key)
+        if value is None:
             if required:
                 raise ScenarioError(self._label(key), "missing required key")
             return default
-        return self._data[key]
+        return value
 
-    def mapping(self, key: str, required: bool = False) -> "_Reader | None":
-        value = self.get(key, required=required)
-        if value is None:
-            return None
-        return _Reader(value, self._label(key))
+    def mapping(self, key: str, required: bool = False) -> "_Reader":
+        """The section under ``key``; an absent optional one reads as empty."""
+        return _Reader(self.get(key, {}, required), self._label(key))
 
-    def number(self, key: str, default: float | None = None, required: bool = False) -> float | None:
-        value = self.get(key, default=default, required=required)
-        if value is None:
-            return None
+    def number(self, key: str, default: float | None = None, required: bool = False) -> float:
+        value = self.get(key, default, required)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(self._label(key), f"expected a number, got {value!r}")
         try:
-            return float(value)
+            return float(value) + 0.0  # + 0.0 reads -0.0 as 0.0
         except OverflowError as exc:  # an int beyond the float range
             raise ScenarioError(self._label(key), str(exc)) from exc
 
-    def integer(self, key: str, default: int | None = None, required: bool = False) -> int | None:
-        value = self.get(key, default=default, required=required)
-        if value is None:
-            return None
+    def integer(self, key: str, default: int | None = None, required: bool = False) -> int:
+        value = self.get(key, default, required)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError(self._label(key), f"expected an integer, got {value!r}")
         return value
 
-    def text(self, key: str, default: str | None = None, required: bool = False) -> str | None:
-        value = self.get(key, default=default, required=required)
-        if value is None:
-            return None
+    def text(self, key: str, default: str | None = None, required: bool = False) -> str:
+        value = self.get(key, default, required)
         if not isinstance(value, str):
             raise ScenarioError(self._label(key), f"expected a string, got {value!r}")
         return value
 
-    def boolean(self, key: str, default: bool | None = None) -> bool | None:
-        value = self.get(key, default=default)
-        if value is None:
-            return None
+    def boolean(self, key: str, default: bool) -> bool:
+        value = self.get(key, default)
         if not isinstance(value, bool):
             raise ScenarioError(self._label(key), f"expected true/false, got {value!r}")
         return value
 
     def sequence(self, key: str, required: bool = False) -> list[tuple[str, Any]]:
-        value = self.get(key, required=required)
-        if value is None:
-            return []
+        value = self.get(key, [], required)
         if not isinstance(value, list):
             raise ScenarioError(self._label(key), f"expected a list, got {type(value).__name__}")
         return [(f"{self._label(key)}[{i}]", item) for i, item in enumerate(value)]
 
     def finish(self) -> None:
-        unknown = sorted(set(self._data) - self._seen)
+        unknown = sorted(set(self._data) - self._seen, key=str)  # YAML keys may be ints
         if unknown:
             label = self._label(unknown[0])
             raise ScenarioError(label, "unknown key")
+
+
+def _checked(field: str, build: Callable[..., _T], *args: Any) -> _T:
+    """``build(*args)``, with a model ``ValueError`` reported on ``field``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ScenarioError(field, str(exc)) from exc
 
 
 def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
@@ -181,32 +180,21 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
     b = const_reader.number("B", required=True)
     c = const_reader.number("C", required=True)
     const_reader.finish()
-    try:
-        constants = RotationalConstants(A=a, B=b, C=c)
-    except ValueError as exc:
-        raise ScenarioError("molecule.rotational_constants_ghz", str(exc)) from exc
+    constants = _checked("molecule.rotational_constants_ghz", RotationalConstants, a, b, c)
 
     modes: list[VibrationalMode] = []
     for label, item in molecule.sequence("vibrational_modes"):
         mode_reader = _Reader(item, label)
         mode_name = mode_reader.text("name", required=True)
         frequency = mode_reader.number("frequency_thz", required=True)
-        max_quanta = mode_reader.integer("max_quanta", default=_DEFAULT_MAX_QUANTA)
+        max_quanta = mode_reader.integer("max_quanta", 5)
         mode_reader.finish()
-        try:
-            modes.append(
-                VibrationalMode(name=mode_name, frequency_thz=frequency, max_quanta=max_quanta)
-            )
-        except ValueError as exc:
-            raise ScenarioError(label, str(exc)) from exc
+        modes.append(_checked(label, VibrationalMode, mode_name, frequency, max_quanta))
     molecule.finish()
 
     ctls_reader = root.mapping("ctls", required=True)
     mode = ctls_reader.text("mode", required=True)
-    try:
-        check_mode(mode)
-    except ValueError as exc:
-        raise ScenarioError("ctls.mode", str(exc)) from exc
+    _checked("ctls.mode", check_mode, mode)
     levels = []
     for label, item in ctls_reader.sequence("levels", required=True):
         level_reader = _Reader(item, label)
@@ -222,33 +210,25 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
     ctls_reader.finish()
 
     temps_reader = root.mapping("temperatures")
-    if temps_reader is None:
-        temperatures = Temperatures(_DEFAULT_T_ROT_K, _DEFAULT_T_VIB_K)
-    else:
-        t_rot = temps_reader.number("t_rot_k", default=_DEFAULT_T_ROT_K)
-        t_vib = temps_reader.number("t_vib_k", default=_DEFAULT_T_VIB_K)
-        temps_reader.finish()
-        try:
-            temperatures = Temperatures(t_rot, t_vib)
-        except ValueError as exc:
-            raise ScenarioError("temperatures", str(exc)) from exc
+    t_rot = temps_reader.number("t_rot_k", 10.0)
+    t_vib = temps_reader.number("t_vib_k", 300.0)
+    temps_reader.finish()
+    temperatures = _checked("temperatures", Temperatures, t_rot, t_vib)
 
     sweep_reader = root.mapping("sweep")
-    if sweep_reader is None:
-        sweep = SweepSpec(**_DEFAULT_SWEEP)
-    else:
-        t_min = sweep_reader.number("t_rot_min_k", default=_DEFAULT_SWEEP["t_rot_min_k"])
-        t_max = sweep_reader.number("t_rot_max_k", default=_DEFAULT_SWEEP["t_rot_max_k"])
-        points = sweep_reader.integer("points", default=_DEFAULT_SWEEP["points"])
-        log_scale = sweep_reader.boolean("log_scale", default=_DEFAULT_SWEEP["log_scale"])
-        sweep_reader.finish()
-        try:
-            default_sweep_grid(t_min, t_max, points, log_scale)
-        except ValueError as exc:
-            raise ScenarioError("sweep", str(exc)) from exc
-        sweep = SweepSpec(t_rot_min_k=t_min, t_rot_max_k=t_max, points=points, log_scale=log_scale)
+    sweep = SweepSpec(
+        t_rot_min_k=sweep_reader.number("t_rot_min_k", 1e-3),
+        t_rot_max_k=sweep_reader.number("t_rot_max_k", 300.0),
+        points=sweep_reader.integer("points", 200),
+        log_scale=sweep_reader.boolean("log_scale", True),
+    )
+    sweep_reader.finish()
+    _checked(
+        "sweep", default_sweep_grid,
+        sweep.t_rot_min_k, sweep.t_rot_max_k, sweep.points, sweep.log_scale,
+    )
 
-    labeling = root.text("labeling", default="tau")
+    labeling = root.text("labeling", "tau")
     if labeling not in LABELINGS:
         raise ScenarioError("labeling", f"must be one of {LABELINGS}, got {labeling!r}")
     root.finish()
@@ -346,31 +326,28 @@ def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfi
         entries = tuple(
             replace(entry, vib=excited if i else 0) for i, entry in enumerate(entries)
         )
-    levels = []
-    for i, entry in enumerate(entries):
-        try:
-            levels.append(
-                make_level(
-                    scenario.constants,
-                    scenario.vibrational_modes,
-                    entry.vib,
-                    entry.j,
-                    entry.tau,
-                    entry.m,
-                    scenario.labeling,
-                )
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"ctls.levels[{i}]", str(exc)) from exc
-    try:
-        return CtlsConfig(
-            mode=target_mode,
-            constants=scenario.constants,
-            modes=scenario.vibrational_modes,
-            levels=tuple(levels),
+    levels = [
+        _checked(
+            f"ctls.levels[{i}]",
+            make_level,
+            scenario.constants,
+            scenario.vibrational_modes,
+            entry.vib,
+            entry.j,
+            entry.tau,
+            entry.m,
+            scenario.labeling,
         )
-    except ValueError as exc:
-        raise ScenarioError("ctls.levels", str(exc)) from exc
+        for i, entry in enumerate(entries)
+    ]
+    return _checked(
+        "ctls.levels",
+        CtlsConfig,
+        target_mode,
+        scenario.constants,
+        scenario.vibrational_modes,
+        tuple(levels),
+    )
 
 
 def bundled_scenario_path() -> Path:

@@ -168,6 +168,16 @@ class TestFigures:
         assert code == EXIT_USAGE
         assert "--output" in err
 
+    def test_plotscript_requires_csv(self, capsys, scenario_path, tmp_path):
+        out = tmp_path / "fig3.json"
+        code, _, err = run_cli(
+            capsys, "figure", "fig3", "--scenario", scenario_path,
+            "--output", str(out), "--format", "json", "--emit-plotscript",
+        )
+        assert code == EXIT_USAGE
+        assert "--format csv" in err
+        assert list(tmp_path.iterdir()) == [Path(scenario_path)]
+
 
 class TestScenarioHandling:
     def test_env_variable_default(self, capsys, scenario_path, monkeypatch):
@@ -249,6 +259,30 @@ class TestScenarioHandling:
 
     def test_unknown_flag_exit_64(self, capsys, scenario_path):
         assert main(["levels", "--scenario", scenario_path, "--bogus"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["levels", "--jmax", "-1"], ["protocol", "--steps", "0"], ["protocol", "--steps", "-5"]],
+        ids=["jmax-negative", "steps-zero", "steps-negative"],
+    )
+    def test_bad_flag_value_exit_64(self, capsys, scenario_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--scenario", scenario_path)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"argument {argv[1]}: must be at least" in err
+
+    def test_negative_zero_temperature_reads_as_zero(self, capsys, tmp_path):
+        path = tmp_path / "zero.scenario"
+        path.write_text(
+            SMALL_SWEEP.replace("{t_rot_k: 10.0, t_vib_k: 300.0}", "{t_rot_k: -0.0, t_vib_k: -0.0}"),
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(capsys, "populations", "--scenario", str(path))
+        assert code == EXIT_OK
+        assert out.splitlines()[1].startswith("0.00000000e+00,0.00000000e+00,")
+        code, out, _ = run_cli(capsys, "populations", "--scenario", str(path), "--dump-config")
+        assert code == EXIT_OK
+        assert "  t_rot_k: 0.0\n  t_vib_k: 0.0\n" in out
 
     def test_dump_config_round_trips(self, capsys, scenario_path, tmp_path):
         code, out, _ = run_cli(

@@ -7,25 +7,63 @@ import importlib.util
 import io
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import ctlsim
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_benchmark_span_targets_resolve():
-    # traced benchmark runs setattr every (module, attr) in TARGETS, so a
-    # refactor that drops one of these imports would break them
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_span_targets_resolve():
+    # traced benchmark runs setattr every (module, attr) in TARGETS, so a
+    # refactor that drops one of these imports would break them
+    spans = load_spans()
     missing = [
         f"{module}.{attr}"
         for module, attr, _ in spans.TARGETS
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "command, sweep, loops",
+    [
+        ("excess", "transfer.excess_sweep", 1),
+        ("yield", "transfer.yield_sweep", 1),
+        ("figure fig2c", "transfer.population_sweep", 1),
+        ("figure fig3", "transfer.excess_sweep", 2),
+        ("figure fig4", "transfer.yield_sweep", 1),
+    ],
+)
+def test_cli_sweeps_record_benchmark_spans(capsys, monkeypatch, command, sweep, loops):
+    # the tracer rebinds ctlsim.cli's names after import, so a command that
+    # reached the sweeps through functions captured at import would run
+    # untraced even though every target name resolves
+    monkeypatch.delenv("CTLS_SCENARIO_PATH", raising=False)
+    tracer = load_spans().Tracer().install()
+    try:
+        code = importlib.import_module("ctlsim.cli").main(command.split())
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    names = [tracer.names[i] for i in tracer.name]
+    called_by_cli = Counter(
+        name for name, parent in zip(names, tracer.parent) if parent >= 0 and names[parent] == "cli.main"
+    )
+    assert called_by_cli[sweep] == loops
+    assert called_by_cli["scenario.to_ctls_config"] == loops
 
 
 def test_readme_library_example_runs_and_matches_namespace():

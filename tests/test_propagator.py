@@ -59,9 +59,9 @@ def noncommuting_detuned_fields() -> CouplingSet:
     env_a = envelope("gaussian", 1.1)
     env_b = envelope("sin_squared", 0.8)
     return CouplingSet(
-        drive_12=DriveField((1, 2), rabi=lambda t: env_a(t), detuning=3e7),
+        drive_12=DriveField((1, 2), rabi=lambda t: env_a(t) * np.exp(1j * 3e7 * t)),
         drive_23=DriveField((2, 3), rabi=lambda t: 1j * env_b(t)),
-        drive_13=constant_drive((1, 3), 2e6 - 1e6j, detuning=-5e7),
+        drive_13=DriveField((1, 3), rabi=lambda t: (2e6 - 1e6j) * np.exp(-1j * 5e7 * t)),
     )
 
 
@@ -188,7 +188,7 @@ class TestInteractionHamiltonian:
 
     def test_hermitian_with_detuning(self):
         fields = CouplingSet(
-            drive_12=constant_drive((1, 2), 0.3 + 0.2j, detuning=2.0),
+            drive_12=DriveField((1, 2), rabi=lambda t: (0.3 + 0.2j) * np.exp(1j * 2.0 * t)),
             drive_23=zero_drive((2, 3)),
             drive_13=zero_drive((1, 3)),
         )

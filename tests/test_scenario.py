@@ -1,8 +1,13 @@
+import copy
+import functools
+import operator
+
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctlsim.cli import EXIT_OK, EXIT_SCHEMA, main
 from ctlsim.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -145,6 +150,11 @@ class TestValidation:
             parse_scenario(write(tmp_path, text))
         assert "unexpected_key" in str(err.value)
 
+    def test_unknown_keys_of_mixed_types_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(write(tmp_path, MINIMAL + "\n1: a\nzz: b\n"))
+        assert err.value.field == "1"
+
     def test_unknown_nested_key_rejected(self, tmp_path):
         text = MINIMAL.replace("name: test-molecule", "name: test-molecule\n  color: blue")
         with pytest.raises(ScenarioError) as err:
@@ -252,6 +262,84 @@ class TestValidation:
     def test_mapping_not_list(self):
         with pytest.raises(ScenarioError):
             scenario_from_mapping({"molecule": []})
+
+
+# Every key of the schema set to a value other than its default.
+FULL = {
+    "molecule": {
+        "name": "test-molecule",
+        "rotational_constants_ghz": {"A": 3.0, "B": 2.0, "C": 1.0},
+        "vibrational_modes": [{"name": "stretch", "frequency_thz": 90.0, "max_quanta": 3}],
+    },
+    "ctls": {
+        "mode": "purely_rotational",
+        "levels": [
+            {"vib": 0, "J": 0, "tau": 0, "M": 0},
+            {"vib": 0, "J": 1, "tau": 0, "M": 1},
+            {"vib": 0, "J": 1, "tau": 1, "M": 0},
+        ],
+    },
+    "temperatures": {"t_rot_k": 20.0, "t_vib_k": 250.0},
+    "sweep": {"t_rot_min_k": 0.1, "t_rot_max_k": 50.0, "points": 5, "log_scale": False},
+    "labeling": "ka_kc",
+}
+OPTIONAL = {
+    "molecule.vibrational_modes",
+    "molecule.vibrational_modes[0].max_quanta",
+    "temperatures",
+    "temperatures.t_rot_k",
+    "temperatures.t_vib_k",
+    "sweep",
+    "sweep.t_rot_min_k",
+    "sweep.t_rot_max_k",
+    "sweep.points",
+    "sweep.log_scale",
+    "labeling",
+}
+
+
+def key_paths(node, path=()):
+    """Every key of a nested mapping, as a path of keys and list indices."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(key, str):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, path + (key,))
+
+
+def field_name(path):
+    """The path as a ScenarioError names it, e.g. ``ctls.levels[0].J``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def with_key(path, null):
+    """FULL with the key at ``path`` set to null, or left out."""
+    data = copy.deepcopy(FULL)
+    *parents, last = path
+    section = functools.reduce(operator.getitem, parents, data)
+    if null:
+        section[last] = None
+    else:
+        del section[last]
+    return data
+
+
+class TestNullKeys:
+    @pytest.mark.parametrize("path", list(key_paths(FULL)), ids=field_name)
+    def test_null_key_reads_as_absent(self, tmp_path, capsys, path):
+        field = field_name(path)
+        nulled = with_key(path, null=True)
+        code = main(["populations", "--scenario", str(write(tmp_path, yaml.safe_dump(nulled)))])
+        err = capsys.readouterr().err
+        if field in OPTIONAL:
+            assert scenario_from_mapping(nulled) == scenario_from_mapping(with_key(path, null=False))
+            assert code == EXIT_OK, err
+        else:
+            with pytest.raises(ScenarioError) as info:
+                scenario_from_mapping(nulled)
+            assert info.value.field == field
+            assert code == EXIT_SCHEMA
+            assert f"invalid scenario: {field}: missing required key" in err
 
 
 class TestRoundTrip:

@@ -2,8 +2,8 @@
 
 Subcommands compute level tables, loop populations, protocol unitaries and
 the temperature-sweep curves, emitting deterministic CSV (or JSON) records.
-Exit codes: 0 success, 1 computation failure, 2 unreadable scenario file,
-3 scenario schema violation, 64 usage error.
+Exit codes: 0 success, 1 computation failure, 2 unreadable scenario file
+or unwritable output, 3 scenario schema violation, 64 usage error.
 """
 
 from __future__ import annotations
@@ -256,14 +256,17 @@ def _run(args) -> int:
         text = dump_scenario(scenario)
     else:
         text = _emit(*_COMMANDS[args.command](scenario, args), args.format)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8", newline="")
-    else:
-        sys.stdout.write(text)
-
-    if getattr(args, "emit_plotscript", False) and not args.dump_config:
-        script = _plotscript(args.target, Path(args.output))
-        Path(str(args.output) + ".gp").write_text(script, encoding="utf-8")
+    try:
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8", newline="")
+        else:
+            sys.stdout.write(text)
+        if getattr(args, "emit_plotscript", False) and not args.dump_config:
+            script = _plotscript(args.target, Path(args.output))
+            Path(str(args.output) + ".gp").write_text(script, encoding="utf-8")
+    except OSError as exc:
+        print(f"ctlsim: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -322,6 +322,29 @@ class TestOutputFile:
         assert records[0]["t_rot_k"] == 10.0
 
 
+    def test_unwritable_output_exit_2(self, capsys, scenario_path, tmp_path):
+        target = tmp_path / "missing" / "levels.csv"
+        code, out, err = run_cli(
+            capsys, "levels", "--scenario", scenario_path, "--output", str(target)
+        )
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith("ctlsim: cannot write output: ")
+        assert str(target) in err
+
+    def test_unwritable_plotscript_exit_2(self, capsys, scenario_path, tmp_path):
+        target = tmp_path / "fig3.csv"
+        (tmp_path / "fig3.csv.gp").mkdir()  # the script path is taken by a directory
+        code, _, err = run_cli(
+            capsys, "figure", "fig3", "--scenario", scenario_path,
+            "--output", str(target), "--emit-plotscript",
+        )
+        assert code == EXIT_IO
+        assert err.startswith("ctlsim: cannot write output: ")
+        assert "fig3.csv.gp" in err
+        assert target.read_text().startswith("t_rot_k,epsilon_rovib,epsilon_rot\n")
+
+
 def test_cli_import_does_not_load_scipy():
     env = dict(os.environ)
     src = str(Path(ctlsim.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from ctlsim.ctls import (
 )
 from ctlsim.propagator import (
     _CHUNK,
+    _protocol_unitary,
+    _step_exponentials,
     ProtocolStep,
     PulseEnvelope,
     PulseSchedule,
@@ -104,6 +107,13 @@ class TestPulseEnvelope:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             PulseEnvelope("triangle", peak=1.0, t_start=0.0, t_end=1.0)
+
+    @pytest.mark.parametrize("field", ["t_start", "t_end", "center", "width"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_field_rejected_by_name(self, field, value):
+        fields = {"t_start": 0.0, "t_end": 1.0, "center": 0.5, "width": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PulseEnvelope("gaussian", peak=1.0, **fields)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_array_call_matches_scalar_calls(self, shape):
@@ -343,6 +353,20 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             run_protocol(bad, Chirality.L)
 
+    @pytest.mark.parametrize("label", ["A", "B", "C"])
+    def test_nan_area_rejected(self, label):
+        # finite fields whose area overflows: (peak * width = inf) * (erf difference = 0)
+        schedule = ideal_schedule()
+        step = getattr(schedule, f"step_{label.lower()}")
+        t_start, t_end = step.window
+        env = PulseEnvelope(
+            "gaussian", peak=1e300, t_start=t_start, t_end=t_end, center=1e30, width=1e10
+        )
+        assert np.isnan(pulse_area(env))
+        bad = replace(schedule, **{f"step_{label.lower()}": replace(step, envelope=env)})
+        with pytest.raises(ScheduleError, match=f"step {label} area"):
+            run_protocol(bad, Chirality.L)
+
 
 def test_step_b_pointwise_amplitude_relation():
     # W23(t) = |W23(t)| = -i W12(t) = W0(t)/sqrt(2) across the window
@@ -355,6 +379,87 @@ def test_step_b_pointwise_amplitude_relation():
         assert w23 == abs(w23)
         assert -1j * w12 == pytest.approx(w23, abs=1e-15)
         assert w23 == pytest.approx(step.envelope(t) / np.sqrt(2.0), abs=1e-15)
+
+
+def zero_diagonal_hermitian(rng, count: int, scale: float) -> np.ndarray:
+    """(count, 3, 3) stack of the form interaction_hamiltonian builds, max|h| = scale."""
+    h = np.zeros((count, 3, 3), dtype=complex)
+    for n, m in ((0, 1), (0, 2), (1, 2)):
+        h[:, n, m] = rng.normal(size=count) + 1j * rng.normal(size=count)
+    h = h + h.conj().swapaxes(1, 2)
+    return h * (scale / np.abs(h).max(axis=(1, 2)))[:, None, None]
+
+
+def assert_matches_expm(a: np.ndarray, exponentials: np.ndarray) -> None:
+    """Each exp(-iA) of a stack to 1e-14 * max(1, |A|) of scipy's expm, with
+    |A| the stack's largest spectral norm, and unitary as tightly.
+
+    The largest step sets how often the whole stack is squared, and each
+    squaring doubles the unitarity defect: it stays below 1e-14 up to
+    |A| ~ 5 and reaches ~4e-14 at |A| = 20.
+    """
+    tol = 1e-14 * max(1.0, np.linalg.norm(a, 2, axis=(1, 2)).max())
+    for matrix, e in zip(a, exponentials):
+        assert np.abs(e - expm(-1j * matrix)).max() <= tol
+        assert np.abs(e.conj().T @ e - np.eye(3)).max() <= tol
+
+
+class TestStepExponentials:
+    @pytest.mark.parametrize("scale", [1e-8, 1e-5, 5e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 20.0])
+    def test_random_stacks_match_expm(self, scale):
+        # above spectral radius 0.5 the chunk is scaled and squared
+        a = zero_diagonal_hermitian(np.random.default_rng(int(1e3 * scale) + 17), 64, scale)
+        dt = 2.5e-8
+        h = a / dt  # rad/s, as propagate passes it
+        assert_matches_expm(h * dt, _step_exponentials(h, dt))
+
+    def test_mixed_magnitudes_in_one_chunk(self):
+        # the chunk's largest step sets the squarings for all of its steps
+        rng = np.random.default_rng(3)
+        h = np.concatenate(
+            [zero_diagonal_hermitian(rng, 16, scale) for scale in (1e-6, 1e-2, 0.7, 15.0)]
+        )
+        assert_matches_expm(h, _step_exponentials(h, 1.0))
+
+    def test_zero_hamiltonian_is_identity(self):
+        e = _step_exponentials(np.zeros((5, 3, 3), dtype=complex), 1e-9)
+        assert (e == np.eye(3)).all()
+
+    @pytest.mark.parametrize("area", [0.0, 1e-12, 1e-6, 1e-3, 0.3, np.pi / 4.0, 1.75 * np.pi, 20.0])
+    def test_single_transition(self, area):
+        # eigenvalues +-a and 0: c0 = det A = 0, degenerate as a -> 0
+        for n, m in ((0, 1), (0, 2), (1, 2)):
+            h = np.zeros((1, 3, 3), dtype=complex)
+            h[0, n, m] = area * np.exp(0.3j)
+            h[0, m, n] = area * np.exp(-0.3j)
+            assert_matches_expm(h, _step_exponentials(h, 1.0))
+
+    @pytest.mark.parametrize("steps", [1, 7, 2000])
+    def test_protocol_steps_unitary_to_1e_14(self, steps):
+        # the steps propagate takes for the protocol: max|A| is 17.6 at one
+        # gaussian step for step C = 7 pi/4, 2.5 at 7 and 0.01 at 2000
+        for shape in SHAPES:
+            for area in (-np.pi / 4.0, 0.75 * np.pi, 1.75 * np.pi):
+                for step in ideal_schedule(shape, step_c_area=area).steps:
+                    for chirality in (Chirality.L, Chirality.R):
+                        fields = signed_couplings(step_couplings(step), chirality)
+                        t0, t1 = step.window
+                        dt = (t1 - t0) / steps
+                        h = interaction_hamiltonian(t0 + (np.arange(steps) + 0.5) * dt, fields)
+                        e = _step_exponentials(h, dt)
+                        defect = np.abs(e.conj().swapaxes(1, 2) @ e - np.eye(3)).max()
+                        assert defect <= 1e-14
+
+    def test_run_protocol_never_calls_eigh(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        _protocol_unitary.cache_clear()
+        for shape in SHAPES:
+            for steps in (1, 7, 2000):
+                u = run_protocol(ideal_schedule(shape=shape), Chirality.R, steps)
+                assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-12
 
 
 class TestRunProtocol:
@@ -373,7 +478,7 @@ class TestRunProtocol:
     @pytest.mark.parametrize("chirality", [Chirality.L, Chirality.R])
     def test_unitary_to_roundoff_at_4096_steps(self, shape, chirality):
         # the final polar projection in propagate keeps this below 1e-12;
-        # without it the protocol accumulates ~4e-12 of roundoff
+        # without it the protocol accumulates ~5.5e-13 of roundoff
         u = run_protocol(ideal_schedule(shape=shape), chirality, 4096)
         assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-12
 

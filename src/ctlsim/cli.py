@@ -162,8 +162,9 @@ _PLOT_SPECS = {
 
 def _plotscript(target: str, data_path: Path) -> str:
     title, series = _PLOT_SPECS[target]
+    name = data_path.name.replace("'", "''")  # gnuplot's escape inside single quotes
     plots = ", \\\n    ".join(
-        f"'{data_path.name}' using 1:{col} with lines title '{label}'"
+        f"'{name}' using 1:{col} with lines title '{label}'"
         for label, col in series
     )
     return (

@@ -279,6 +279,7 @@ def _step_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
     Peardon, Phys. Rev. D 69, 054501 (2004)). Steps beyond spectral radius
     0.5 are scaled by 2^-s and squared s times in coefficient space (Moler
     & Van Loan, SIAM Rev. 45, 3 (2003)), so a single step is exact too.
+    A step whose phase bound exceeds 2^26 rad raises ``ArithmeticError``.
     """
     a = h * dt
     a2 = np.einsum("nij,njk->nik", a, a)
@@ -288,6 +289,10 @@ def _step_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
     c0 = np.einsum("nij,nji->n", a2, a).real / 3.0
     # sqrt(tr A^2) bounds every eigenvalue of A in magnitude
     radius = math.sqrt(2.0 * c1.max())
+    # a step's roundoff grows as ~1e-16 * radius: above 2^26 rad it passes the
+    # 1e-8 rad that _AREA_TOL holds pulse areas to ("not <=" also rejects NaN)
+    if not radius <= 2.0**26:
+        raise ArithmeticError(f"step phase bound {radius} rad exceeds 2**26 rad; use more steps")
     squarings = math.ceil(math.log2(radius / 0.5)) if radius > 0.5 else 0
     c1 = c1 * 0.25**squarings
     c0 = c0 * 0.125**squarings

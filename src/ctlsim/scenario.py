@@ -2,13 +2,15 @@
 
 A scenario is a single human-editable YAML document with a fixed schema.
 Unknown keys are rejected and every violation names the offending field, so
-a scenario that parses is fully normalized and reproducible.
+a scenario that parses is fully normalized and reproducible. The schema is
+written once, as the walk in ``scenario_from_mapping``: the walk also records
+what it read, and ``dump_scenario`` writes that record back out.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, TypeVar
@@ -84,25 +86,38 @@ class ScenarioFile:
     temperatures: Temperatures
     sweep: SweepSpec
     labeling: str
+    # the document as the parser read it; ``dump_scenario`` writes it out
+    echo: dict = field(compare=False, repr=False)
 
 
 class _Reader:
-    """Mapping walker that tracks the key path and rejects unknown keys.
+    """Mapping walker that tracks the key path, rejects unknown keys and
+    records what it read.
 
     ``get`` is the one place that decides a key is absent: a key written
     with no value (null) counts as absent, so it takes its default or, when
     required, is reported missing.
+
+    Every typed getter, section and list stores what it returns under its
+    key in ``echo``: defaults filled in, ``-0.0`` read as ``0.0``, keys in
+    the order they were read rather than the order they were written. So
+    the walk that reads a document also fixes how it is written back.
     """
 
     def __init__(self, data: Mapping[str, Any], path: str):
         if not isinstance(data, Mapping):
             raise ScenarioError(path, f"expected a mapping, got {type(data).__name__}")
         self._data = dict(data)
-        self._path = path
+        self.path = path
         self._seen: set[str] = set()
+        self.echo: dict[str, Any] = {}
 
     def _label(self, key: str) -> str:
-        return f"{self._path}.{key}" if self._path else str(key)
+        return f"{self.path}.{key}" if self.path else str(key)
+
+    def _store(self, key: str, value: _T) -> _T:
+        self.echo[key] = value
+        return value
 
     def get(self, key: str, default: Any = None, required: bool = False) -> Any:
         self._seen.add(key)
@@ -115,14 +130,16 @@ class _Reader:
 
     def mapping(self, key: str, required: bool = False) -> "_Reader":
         """The section under ``key``; an absent optional one reads as empty."""
-        return _Reader(self.get(key, {}, required), self._label(key))
+        section = _Reader(self.get(key, {}, required), self._label(key))
+        self.echo[key] = section.echo
+        return section
 
     def number(self, key: str, default: float | None = None, required: bool = False) -> float:
         value = self.get(key, default, required)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(self._label(key), f"expected a number, got {value!r}")
         try:
-            return float(value) + 0.0  # + 0.0 reads -0.0 as 0.0
+            return self._store(key, float(value) + 0.0)  # + 0.0 reads -0.0 as 0.0
         except OverflowError as exc:  # an int beyond the float range
             raise ScenarioError(self._label(key), str(exc)) from exc
 
@@ -130,25 +147,28 @@ class _Reader:
         value = self.get(key, default, required)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError(self._label(key), f"expected an integer, got {value!r}")
-        return value
+        return self._store(key, value)
 
     def text(self, key: str, default: str | None = None, required: bool = False) -> str:
         value = self.get(key, default, required)
         if not isinstance(value, str):
             raise ScenarioError(self._label(key), f"expected a string, got {value!r}")
-        return value
+        return self._store(key, value)
 
     def boolean(self, key: str, default: bool) -> bool:
         value = self.get(key, default)
         if not isinstance(value, bool):
             raise ScenarioError(self._label(key), f"expected true/false, got {value!r}")
-        return value
+        return self._store(key, value)
 
-    def sequence(self, key: str, required: bool = False) -> list[tuple[str, Any]]:
+    def sequence(self, key: str, required: bool = False) -> list["_Reader"]:
+        """One reader per item of the list under ``key``, each item a mapping."""
         value = self.get(key, [], required)
         if not isinstance(value, list):
             raise ScenarioError(self._label(key), f"expected a list, got {type(value).__name__}")
-        return [(f"{self._label(key)}[{i}]", item) for i, item in enumerate(value)]
+        items = [_Reader(item, f"{self._label(key)}[{i}]") for i, item in enumerate(value)]
+        self.echo[key] = [item.echo for item in items]
+        return items
 
     def finish(self) -> None:
         unknown = sorted(set(self._data) - self._seen, key=str)  # YAML keys may be ints
@@ -183,21 +203,19 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
     constants = _checked("molecule.rotational_constants_ghz", RotationalConstants, a, b, c)
 
     modes: list[VibrationalMode] = []
-    for label, item in molecule.sequence("vibrational_modes"):
-        mode_reader = _Reader(item, label)
+    for mode_reader in molecule.sequence("vibrational_modes"):
         mode_name = mode_reader.text("name", required=True)
         frequency = mode_reader.number("frequency_thz", required=True)
         max_quanta = mode_reader.integer("max_quanta", 5)
         mode_reader.finish()
-        modes.append(_checked(label, VibrationalMode, mode_name, frequency, max_quanta))
+        modes.append(_checked(mode_reader.path, VibrationalMode, mode_name, frequency, max_quanta))
     molecule.finish()
 
     ctls_reader = root.mapping("ctls", required=True)
     mode = ctls_reader.text("mode", required=True)
     _checked("ctls.mode", check_mode, mode)
     levels = []
-    for label, item in ctls_reader.sequence("levels", required=True):
-        level_reader = _Reader(item, label)
+    for level_reader in ctls_reader.sequence("levels", required=True):
         levels.append(
             LevelSpec(
                 vib=level_reader.integer("vib", required=True),
@@ -242,6 +260,7 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
         temperatures=temperatures,
         sweep=sweep,
         labeling=labeling,
+        echo=root.echo,
     )
     to_ctls_config(scenario)
     return scenario
@@ -260,44 +279,9 @@ def parse_scenario(path: str | Path) -> ScenarioFile:
 
 
 def dump_scenario(scenario: ScenarioFile) -> str:
-    """Serialize a scenario so that re-parsing reproduces it exactly."""
-    data: dict[str, Any] = {
-        "molecule": {
-            "name": scenario.molecule_name,
-            "rotational_constants_ghz": {
-                "A": scenario.constants.A,
-                "B": scenario.constants.B,
-                "C": scenario.constants.C,
-            },
-            "vibrational_modes": [
-                {
-                    "name": mode.name,
-                    "frequency_thz": mode.frequency_thz,
-                    "max_quanta": mode.max_quanta,
-                }
-                for mode in scenario.vibrational_modes
-            ],
-        },
-        "ctls": {
-            "mode": scenario.mode,
-            "levels": [
-                {"vib": lv.vib, "J": lv.j, "tau": lv.tau, "M": lv.m}
-                for lv in scenario.levels
-            ],
-        },
-        "temperatures": {
-            "t_rot_k": scenario.temperatures.t_rot_k,
-            "t_vib_k": scenario.temperatures.t_vib_k,
-        },
-        "sweep": {
-            "t_rot_min_k": scenario.sweep.t_rot_min_k,
-            "t_rot_max_k": scenario.sweep.t_rot_max_k,
-            "points": scenario.sweep.points,
-            "log_scale": scenario.sweep.log_scale,
-        },
-        "labeling": scenario.labeling,
-    }
-    return yaml.safe_dump(data, sort_keys=False)
+    """Serialize a scenario so that re-parsing reproduces it exactly: the
+    document as the parser read it, keys in schema order, defaults filled in."""
+    return yaml.safe_dump(scenario.echo, sort_keys=False)
 
 
 def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfig:

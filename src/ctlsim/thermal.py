@@ -238,7 +238,8 @@ def vibrational_partition(
         if t_vib_k == 0.0:
             continue  # only v = 0 survives; the ladder sum is 1
         x = 1000.0 * mode.frequency_thz * K_PER_GHZ / t_vib_k
-        z *= sum(math.exp(-v * x) for v in range(mode.max_quanta + 1))
+        # v = 0 is the 1.0 start: with x = inf its term exp(-0 * inf) would be NaN
+        z *= sum((math.exp(-v * x) for v in range(1, mode.max_quanta + 1)), 1.0)
     return z
 
 

@@ -161,6 +161,18 @@ class TestFigures:
         assert "set datafile separator ','" in script
         assert "fig3.csv" in script
 
+    def test_plotscript_quotes_the_data_file_name(self, capsys, scenario_path, tmp_path):
+        out = tmp_path / "it's.csv"
+        code, _, _ = run_cli(
+            capsys, "figure", "fig3", "--scenario", scenario_path,
+            "--output", str(out), "--emit-plotscript",
+        )
+        assert code == EXIT_OK
+        script = (tmp_path / "it's.csv.gp").read_text()
+        # gnuplot escapes a single quote inside single quotes by doubling it
+        assert "plot 'it''s.csv' using 1:2 with lines" in script
+        assert "'it's.csv'" not in script
+
     def test_plotscript_requires_output(self, capsys, scenario_path):
         code, _, err = run_cli(
             capsys, "figure", "fig3", "--scenario", scenario_path, "--emit-plotscript"
@@ -283,6 +295,25 @@ class TestScenarioHandling:
         code, out, _ = run_cli(capsys, "populations", "--scenario", str(path), "--dump-config")
         assert code == EXIT_OK
         assert "  t_rot_k: 0.0\n  t_vib_k: 0.0\n" in out
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("t_vib_k: 300.0", "t_vib_k: 1.0e-310"),
+            ("frequency_thz: 100.95", "frequency_thz: 1.0e+306"),
+        ],
+        ids=["tiny-T_vib", "huge-frequency"],
+    )
+    def test_overflowing_vibrational_exponent_yields_the_cold_result(
+        self, capsys, tmp_path, old, new
+    ):
+        cold = tmp_path / "cold.scenario"
+        cold.write_text(SMALL_SWEEP.replace("t_vib_k: 300.0", "t_vib_k: 0.0"), encoding="utf-8")
+        path = tmp_path / "overflow.scenario"
+        path.write_text(SMALL_SWEEP.replace(old, new), encoding="utf-8")
+        code, out, err = run_cli(capsys, "yield", "--scenario", str(path))
+        assert code == EXIT_OK, err
+        assert out == run_cli(capsys, "yield", "--scenario", str(cold))[1]
 
     def test_dump_config_round_trips(self, capsys, scenario_path, tmp_path):
         code, out, _ = run_cli(

@@ -57,6 +57,14 @@ def drive_13_only(env: PulseEnvelope, sign: float = 1.0) -> CouplingSet:
     )
 
 
+def constant_12(amp: float) -> CouplingSet:
+    return CouplingSet(
+        drive_12=constant_drive((1, 2), amp),
+        drive_23=zero_drive((2, 3)),
+        drive_13=zero_drive((1, 3)),
+    )
+
+
 def noncommuting_detuned_fields() -> CouplingSet:
     """Overlapping, detuned drives on all three transitions."""
     env_a = envelope("gaussian", 1.1)
@@ -307,6 +315,17 @@ class TestPropagate:
         )
         with pytest.raises(ArithmeticError):
             propagate(fields, (0.0, 1.0), TimeGrid(4))
+
+    @pytest.mark.parametrize("amp", [1e8, 1e20, 1e100, 1e160, 1e300])
+    def test_step_beyond_phase_bound_raises(self, amp):
+        # one step of phase bound sqrt(2) amp rad: beyond 2^26 rad the
+        # kernel's roundoff passes the pulse-area tolerance, then it fails
+        with pytest.raises(ArithmeticError, match=r"exceeds 2\*\*26 rad; use more steps"):
+            propagate(constant_12(amp), (0.0, 1.0), TimeGrid(1))
+
+    def test_step_within_phase_bound_runs(self):
+        u = propagate(constant_12(1e7), (0.0, 1.0), TimeGrid(1))
+        assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-12
 
     def test_bad_window_rejected(self):
         fields = drive_13_only(envelope("rectangular", 0.3))

@@ -33,6 +33,41 @@ ctls:
     - {vib: 0, J: 1, tau: 1, M: 0}
 """
 
+# MINIMAL as --dump-config writes it: schema order, every default filled in
+MINIMAL_ECHO = """\
+molecule:
+  name: test-molecule
+  rotational_constants_ghz:
+    A: 3.0
+    B: 2.0
+    C: 1.0
+  vibrational_modes: []
+ctls:
+  mode: purely_rotational
+  levels:
+  - vib: 0
+    J: 0
+    tau: 0
+    M: 0
+  - vib: 0
+    J: 1
+    tau: 0
+    M: 1
+  - vib: 0
+    J: 1
+    tau: 1
+    M: 0
+temperatures:
+  t_rot_k: 10.0
+  t_vib_k: 300.0
+sweep:
+  t_rot_min_k: 0.001
+  t_rot_max_k: 300.0
+  points: 200
+  log_scale: true
+labeling: tau
+"""
+
 
 HUGE_INT = "1" + "0" * 400  # a YAML int beyond the float range
 UNKNOWN_MODE = "mode must be one of ('ro_vibrational', 'purely_rotational'), got 'bogus'"
@@ -353,6 +388,42 @@ class TestRoundTrip:
         scenario = parse_scenario(write(tmp_path, MINIMAL))
         again = scenario_from_mapping(yaml.safe_load(dump_scenario(scenario)))
         assert again == scenario
+
+    def test_echo_is_in_schema_order(self):
+        # every section's keys written in reverse; the echo keeps the read order
+        def reverse(node):
+            if isinstance(node, dict):
+                return {key: reverse(node[key]) for key in reversed(list(node))}
+            if isinstance(node, list):
+                return [reverse(item) for item in node]
+            return node
+
+        data = yaml.safe_load(bundled_scenario_path().read_text(encoding="utf-8"))
+        reversed_data = reverse(data)
+        assert list(reversed_data) != list(data)
+        scenario = scenario_from_mapping(data)
+        again = scenario_from_mapping(reversed_data)
+        assert again == scenario
+        assert dump_scenario(again) == dump_scenario(scenario)
+
+    def test_echo_fills_in_every_default(self, tmp_path):
+        assert dump_scenario(parse_scenario(write(tmp_path, MINIMAL))) == MINIMAL_ECHO
+
+    def test_echo_normalizes_numbers_and_nulls(self, tmp_path):
+        text = MINIMAL.replace("A: 3.0", "A: 3") + (
+            "temperatures: {t_rot_k: -0.0, t_vib_k: null}\n"
+            "sweep: {points: null}\n"
+        )
+        echo = yaml.safe_load(dump_scenario(parse_scenario(write(tmp_path, text))))
+        assert repr(echo["molecule"]["rotational_constants_ghz"]["A"]) == "3.0"
+        assert repr(echo["temperatures"]["t_rot_k"]) == "0.0"
+        assert echo["temperatures"]["t_vib_k"] == 300.0
+        assert echo["sweep"]["points"] == 200
+
+    def test_scenario_hashes_on_its_fields(self):
+        scenario = parse_scenario(bundled_scenario_path())
+        assert hash(scenario) == hash(parse_scenario(bundled_scenario_path()))
+        assert "echo" not in repr(scenario)
 
     @given(scenario_mappings())
     @settings(deadline=None, max_examples=100)

@@ -203,6 +203,14 @@ class TestVibrationalPartition:
     def test_zero_temperature(self, oh_stretch):
         assert vibrational_partition((oh_stretch,), 0.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "frequency_thz, t_vib_k", [(100.95, 1.0e-310), (1.0e306, 300.0)], ids=["tiny-T", "huge-f"]
+    )
+    def test_overflowing_exponent_leaves_the_ground_state(self, frequency_thz, t_vib_k):
+        # h f / k T overflows to inf; only v = 0 survives, as at T_vib = 0
+        mode = VibrationalMode(name="stiff", frequency_thz=frequency_thz)
+        assert vibrational_partition((mode,), t_vib_k) == 1.0
+
     def test_two_modes_factorize(self, oh_stretch):
         other = VibrationalMode(name="other", frequency_thz=50.0, max_quanta=3)
         z = vibrational_partition((oh_stretch, other), 300.0)

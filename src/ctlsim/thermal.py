@@ -167,27 +167,27 @@ def loop_populations(
     energy scale. A zero temperature is handled as the exact limit: weight
     collapses onto the minimal energy of the frozen degree of freedom
     (minimal total energy if both temperatures are zero), with exact ties
-    split equally, and the other one stays thermal within that set.
+    split equally, and the other one stays thermal within that set. A
+    positive temperature so small that one of its exponents overflows gives
+    the same limit: every weight outside that ground set underflows to 0.
     """
     check_loop_levels(levels)
     t_rot = _temperature_grid("t_rot_k", t_rot_k)
     (t_vib,) = _temperature_grid("t_vib_k", t_vib_k)
     vib = np.array([lv.vib_energy_ghz for lv in levels])
     rot = np.array([lv.rot.energy_ghz for lv in levels])
-    hot = t_rot > 0.0
-    x = np.zeros((len(t_rot), 3))
-    x[hot] = rot * K_PER_GHZ / t_rot[hot, None]
-    if t_vib > 0.0:
-        x += vib * K_PER_GHZ / t_vib
+    with np.errstate(over="ignore"):  # an infinite exponent freezes its row below
+        x = rot * K_PER_GHZ / np.where(t_rot > 0.0, t_rot, np.inf)[:, None]
+        x_vib = vib * K_PER_GHZ / (t_vib if t_vib > 0.0 else np.inf)
+    hot = (t_rot > 0.0) & np.isfinite(x).all(axis=1)
+    x[~hot] = 0.0
+    if t_vib > 0.0 and np.isfinite(x_vib).all():
+        x += x_vib
         allowed_hot, allowed_cold = np.ones(3, bool), _ground(rot)
     else:
         allowed_hot, allowed_cold = _ground(vib), _ground(vib + rot)
     x = np.where(np.where(hot[:, None], allowed_hot, allowed_cold), x, np.inf)
-    x = x - x.min(axis=1, keepdims=True)
-    overflowed = np.isnan(x).any(axis=1)  # every allowed exponent was infinite
-    if overflowed.any():
-        raise ValueError(f"Boltzmann exponents overflow at t_rot_k = {t_rot[overflowed][0]}")
-    weights = np.exp(-x)
+    weights = np.exp(-(x - x.min(axis=1, keepdims=True)))
     return weights / weights.sum(axis=1, keepdims=True)
 
 
@@ -215,9 +215,10 @@ def rotational_partition(
     active = np.arange(len(t))
     for j in range(_J_CAP + 1):
         energies = block_energies(j, constants)
-        contribution = (2 * j + 1) * np.exp(
-            -energies * K_PER_GHZ / t[active, None]
-        ).sum(axis=1)
+        with np.errstate(over="ignore"):  # weights below the float range are 0
+            contribution = (2 * j + 1) * np.exp(
+                -energies * K_PER_GHZ / t[active, None]
+            ).sum(axis=1)
         total[active] += contribution
         active = active[~(contribution < rel_tol * total[active])]
         if not active.size:
@@ -260,11 +261,12 @@ def global_proportion(
     t_rot = _temperature_grid("t_rot_k", t_rot_k, positive=True)
     z_rot = rotational_partition(constants, t_rot)
     z_vib = vibrational_partition(modes, t_vib_k)
-    if t_vib_k == 0.0:
-        p_vib = np.array([float(lv.vib_quantum == 0) for lv in levels])
-    else:
-        p_vib = np.exp(-(np.array([lv.vib_energy_ghz for lv in levels]) * K_PER_GHZ / t_vib_k))
-    p_rot = np.exp(-(np.array([lv.rot.energy_ghz for lv in levels]) * K_PER_GHZ / t_rot[:, None]))
+    with np.errstate(over="ignore"):  # weights below the float range are 0
+        if t_vib_k == 0.0:
+            p_vib = np.array([float(lv.vib_quantum == 0) for lv in levels])
+        else:
+            p_vib = np.exp(-(np.array([lv.vib_energy_ghz for lv in levels]) * K_PER_GHZ / t_vib_k))
+        p_rot = np.exp(-(np.array([lv.rot.energy_ghz for lv in levels]) * K_PER_GHZ / t_rot[:, None]))
     return p_vib * p_rot / (z_vib * z_rot[:, None])
 
 

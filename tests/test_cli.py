@@ -33,6 +33,13 @@ temperatures: {t_rot_k: 10.0, t_vib_k: 300.0}
 sweep: {t_rot_min_k: 0.01, t_rot_max_k: 300.0, points: 12, log_scale: true}
 """
 
+# no loop level is J = 0 (level 1 is |1_-1>), and both T_rot values are 1e-310 K
+TINY_T_ROT = (
+    SMALL_SWEEP.replace("{vib: 0, J: 0, tau: 0, M: 0}", "{vib: 0, J: 1, tau: -1, M: 0}")
+    .replace("t_rot_k: 10.0", "t_rot_k: 1.0e-310")
+    .replace("t_rot_min_k: 0.01", "t_rot_min_k: 1.0e-310")
+)
+
 
 @pytest.fixture
 def scenario_path(tmp_path):
@@ -314,6 +321,62 @@ class TestScenarioHandling:
         code, out, err = run_cli(capsys, "yield", "--scenario", str(path))
         assert code == EXIT_OK, err
         assert out == run_cli(capsys, "yield", "--scenario", str(cold))[1]
+
+    @pytest.mark.parametrize(
+        "argv, first_row",
+        [
+            (["excess"], "1.00000000e-310,1.00000000e+00"),
+            (["populations"], "1.00000000e-310,3.00000000e+02,1.00000000e+00,0.00000000e+00,0.00000000e+00"),
+            (["figure", "fig3"], "1.00000000e-310,1.00000000e+00,1.00000000e+00"),
+        ],
+        ids=["excess", "populations", "fig3"],
+    )
+    def test_overflowing_rotational_exponents_yield_the_cold_result(
+        self, capsys, tmp_path, argv, first_row
+    ):
+        # every rotational exponent is infinite at 1e-310 K: the population
+        # collapses onto the lowest rotational level, |1_-1>
+        path = tmp_path / "tiny.scenario"
+        path.write_text(TINY_T_ROT, encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
+        assert code == EXIT_OK, err
+        assert out.splitlines()[1] == first_row
+
+    def test_vibration_decides_between_rotationally_tied_levels(self, capsys, tmp_path):
+        # |0, 1_-1> and |1, 1_-1> tie in rotational energy; at 1e-310 K the
+        # rotational factor keeps only them and T_vib = 300 K splits them
+        tied = SMALL_SWEEP.replace(
+            """    - {vib: 0, J: 0, tau: 0, M: 0}
+    - {vib: 1, J: 1, tau: 0, M: 1}
+    - {vib: 1, J: 1, tau: 1, M: 0}""",
+            """    - {vib: 0, J: 1, tau: -1, M: 0}
+    - {vib: 1, J: 1, tau: -1, M: 0}
+    - {vib: 1, J: 1, tau: 0, M: 0}""",
+        )
+        rows = {}
+        for t_rot in ("1.0e-310", "0.0"):
+            path = tmp_path / f"tied-{t_rot}.scenario"
+            path.write_text(tied.replace("t_rot_k: 10.0", f"t_rot_k: {t_rot}"), encoding="utf-8")
+            code, out, err = run_cli(capsys, "populations", "--scenario", str(path))
+            assert code == EXIT_OK, err
+            rows[t_rot] = out.splitlines()[1].split(",")
+        assert rows["1.0e-310"][1:] == rows["0.0"][1:]
+        p1, p2, p3 = map(float, rows["1.0e-310"][2:])
+        assert 0.0 < p2 < 1e-6 and p3 == 0.0
+
+    def test_tiny_temperatures_exit_cleanly_with_an_empty_stderr(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(ctlsim.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        # every exponent of the loop, the partition sum and the shares overflows
+        path = tmp_path / "tiny.scenario"
+        path.write_text(TINY_T_ROT.replace("t_vib_k: 300.0", "t_vib_k: 1.0e-310"), encoding="utf-8")
+        for command in ("excess", "yield"):
+            result = subprocess.run(
+                [sys.executable, "-m", "ctlsim.cli", command, "--scenario", str(path)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (result.returncode, result.stderr) == (EXIT_OK, ""), command
 
     def test_dump_config_round_trips(self, capsys, scenario_path, tmp_path):
         code, out, _ = run_cli(

@@ -19,6 +19,7 @@ from ctlsim.ctls import (
 )
 from ctlsim.propagator import (
     _CHUNK,
+    _ordered_product,
     _protocol_unitary,
     _step_exponentials,
     ProtocolStep,
@@ -221,6 +222,26 @@ class TestInteractionHamiltonian:
         assert stacked.shape == (37, 3, 3)
         expected = np.array([interaction_hamiltonian(float(t), fields) for t in times])
         assert np.abs(stacked - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("count", [1, 2, 1024])
+    def test_shapes_and_entry_major_memory(self, count):
+        fields = noncommuting_detuned_fields()
+        assert interaction_hamiltonian(0.5e-7, fields).shape == (3, 3)
+        stacked = interaction_hamiltonian(np.linspace(0.0, 1e-7, count), fields)
+        assert stacked.shape == (count, 3, 3)
+        # each matrix entry is one contiguous vector over the times
+        assert stacked.transpose(1, 2, 0).flags.c_contiguous
+
+
+class TestOrderedProduct:
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 1023, 1024, 1025])
+    def test_matches_left_fold(self, count):
+        rng = np.random.default_rng(count)
+        q, _ = np.linalg.qr(rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3)))
+        expected = np.eye(3, dtype=complex)
+        for u in q:
+            expected = u @ expected
+        assert np.abs(_ordered_product(q) - expected).max() <= 1e-14
 
 
 class TestPropagate:
@@ -440,6 +461,16 @@ class TestStepExponentials:
         )
         assert_matches_expm(h, _step_exponentials(h, 1.0))
 
+    @pytest.mark.parametrize("scale", [1e-3, 3.0])
+    def test_strided_view_matches_contiguous_copy(self, scale):
+        rng = np.random.default_rng(5)
+        every_other = zero_diagonal_hermitian(rng, 2 * 37, scale)[::2]
+        entry_major = zero_diagonal_hermitian(rng, 37, scale).transpose(1, 2, 0).copy()
+        for view in (every_other, entry_major.transpose(2, 0, 1)):
+            assert not view.flags.c_contiguous
+            copy = np.ascontiguousarray(view)
+            assert (_step_exponentials(view, 0.7) == _step_exponentials(copy, 0.7)).all()
+
     def test_zero_hamiltonian_is_identity(self):
         e = _step_exponentials(np.zeros((5, 3, 3), dtype=complex), 1e-9)
         assert (e == np.eye(3)).all()
@@ -497,7 +528,7 @@ class TestRunProtocol:
     @pytest.mark.parametrize("chirality", [Chirality.L, Chirality.R])
     def test_unitary_to_roundoff_at_4096_steps(self, shape, chirality):
         # the final polar projection in propagate keeps this below 1e-12;
-        # without it the protocol accumulates ~5.5e-13 of roundoff
+        # without it the protocol accumulates ~3.1e-13 of roundoff
         u = run_protocol(ideal_schedule(shape=shape), chirality, 4096)
         assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-12
 

@@ -222,12 +222,13 @@ def test_yield_sweep_rejects_zero_rotational_temperature(rovib_config):
         yield_sweep(rovib_config, [1.0, 0.0], 300.0)
 
 
-def test_overflowing_rotational_temperature_raises():
+def test_overflowing_rotational_temperature_gives_the_cold_limit():
     # no level is J = 0, so at 1e-310 K every rotational exponent is infinite
     modes = (OH_STRETCH,)
     levels = tuple(
         make_level(PROPANEDIOL, modes, 0, j, tau, 0) for j, tau in ((1, 0), (1, 1), (2, 0))
     )
     config = CtlsConfig(PURELY_ROTATIONAL, PROPANEDIOL, modes, levels)
-    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflow at t_rot_k = 1e-310"):
-        population_sweep(config, [1.0, 1e-310], 300.0)
+    tiny = population_sweep(config, [1.0, 1e-310], 300.0)[1]
+    assert (tiny == population_sweep(config, [0.0], 300.0)[0]).all()
+    assert (tiny == [1.0, 0.0, 0.0]).all()

@@ -15,6 +15,7 @@ from ctlsim.thermal import (
     VibrationalMode,
     ctls_populations,
     global_proportion,
+    loop_populations,
     rotational_partition,
     vibrational_partition,
     yield_eta,
@@ -133,6 +134,52 @@ class TestCtlsPopulations:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             Temperatures(-1.0, 300.0)
+
+
+class TestTinyTemperatures:
+    """A positive temperature too small for its exponents to be finite."""
+
+    # E_rot 0 / E_vib 100 THz, and two v = 0 levels with E_rot 6 and 9 GHz
+    LEVELS = [
+        bare_level(1, 0.0, vib_thz=100.0),
+        bare_level(2, 6.0),
+        bare_level(3, 9.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "tiny, cold",
+        [
+            ((1e-310, 300.0), (0.0, 300.0)),
+            ((10.0, 1e-310), (10.0, 0.0)),
+            ((1e-310, 1e-310), (0.0, 0.0)),
+            ((5e-324, 300.0), (0.0, 300.0)),
+        ],
+        ids=["T_rot", "T_vib", "both", "subnormal-T_rot"],
+    )
+    def test_equals_the_zero_temperature_limit(self, tiny, cold):
+        assert (loop_populations(self.LEVELS, *tiny) == loop_populations(self.LEVELS, *cold)).all()
+
+    def test_vibration_decides_between_rotationally_tied_levels(self):
+        # levels 0 and 1 share E_rot = 6 GHz; at 300 K the v = 1 level keeps
+        # exp(-100 THz h/kT) of the v = 0 level's weight
+        levels = [bare_level(1, 6.0), bare_level(2, 6.0, vib_thz=100.0), bare_level(3, 9.0)]
+        p = loop_populations(levels, 1e-310, 300.0)
+        assert (p == loop_populations(levels, 0.0, 300.0)).all()
+        assert p[0, 1] / p[0, 0] == pytest.approx(np.exp(-1e5 * K_PER_GHZ / 300.0), rel=1e-12)
+        assert p[0, 2] == 0.0
+
+    def test_warm_rows_of_a_grid_are_unchanged(self):
+        grid = np.array([1e-310, 0.5, 10.0, 300.0])
+        p = loop_populations(self.LEVELS, grid, 300.0)
+        assert (p[1:] == loop_populations(self.LEVELS, grid[1:], 300.0)).all()
+
+    def test_global_proportion_and_partition_sum(self, rovib_config):
+        # Z_rot(1e-310 K) is the J = 0 ground state alone
+        assert rotational_partition(PROPANEDIOL, 1e-310) == 1.0
+        shares = global_proportion(
+            rovib_config.levels, PROPANEDIOL, (OH_STRETCH,), [1e-310, 1e-5], 1e-310
+        )
+        assert (shares == [[1.0, 0.0, 0.0]] * 2).all()
 
 
 class TestRotationalPartition:

@@ -7,12 +7,16 @@ polynomial in it (Cayley-Hamilton), so no eigendecomposition is needed.
 Resonant single-transition steps depend only on the pulse area, not the
 envelope shape.
 
-Stacks of step matrices are kept entry-major, shape (3, 3, n): each matrix
-entry is one contiguous vector over the steps, and a 3x3 product over the
-stack is three broadcast multiply-adds of those vectors (``_matmul``).
-numpy's matmul and einsum loop over the n small matrices instead, which
-costs several times more at the chunk size used here. Stacks handed in or
-out keep the (n, 3, 3) shape as views of the entry-major arrays.
+The Hamiltonian has a zero diagonal and is Hermitian, so its three upper
+entries W12, W13, W23 fix it. ``propagate`` evaluates only those, as the
+three drive rows of one (3, n) array per chunk (``_drive_rows``), and the
+step exponentials are formed from the rows entry by entry. Stacks of step
+matrices are kept entry-major, shape (3, 3, n): each matrix entry is one
+contiguous vector over the steps, and a 3x3 product over the stack is
+three broadcast multiply-adds of those vectors (``_matmul``). numpy's
+matmul and einsum loop over the n small matrices instead, which costs
+several times more at the chunk size used here. Stacks handed out keep
+the (n, 3, 3) shape as views of the entry-major arrays.
 """
 
 from __future__ import annotations
@@ -254,6 +258,22 @@ def step_couplings(step: ProtocolStep) -> CouplingSet:
     )
 
 
+# H's upper entries (row, column), in the order of the drive rows
+_UPPER = ((0, 1), (0, 2), (1, 2))
+
+
+def _drive_rows(t: float | np.ndarray, fields: CouplingSet) -> np.ndarray:
+    """W12, W13, W23 at ``t``, shape (3,) + t.shape: the one place that maps
+    drives to Hamiltonian entries. A drive whose ``rabi`` returns a scalar
+    is broadcast."""
+    times = np.asarray(t, dtype=float)
+    rows = np.empty((3,) + times.shape, dtype=complex)
+    for field in fields.drives:
+        n, m = field.transition  # n < m, one drive per transition
+        rows[_UPPER.index((n - 1, m - 1))] = field.rabi(times)
+    return rows
+
+
 def interaction_hamiltonian(t: float | np.ndarray, fields: CouplingSet) -> np.ndarray:
     """H(t)/hbar in rad/s: sum of W_nm(t) |n><m| plus h.c.
 
@@ -261,12 +281,11 @@ def interaction_hamiltonian(t: float | np.ndarray, fields: CouplingSet) -> np.nd
     (n, 3, 3) stack, a view of an entry-major (3, 3, n) array. A drive
     whose ``rabi`` returns a scalar is broadcast.
     """
-    times = np.asarray(t, dtype=float)
-    h = np.zeros((3, 3) + times.shape, dtype=complex)
-    for field in fields.drives:
-        n, m = field.transition  # n < m, one drive per transition
-        h[n - 1, m - 1] = field.rabi(times)
-        h[m - 1, n - 1] = h[n - 1, m - 1].conj()
+    rows = _drive_rows(t, fields)
+    h = np.zeros((3, 3) + rows.shape[1:], dtype=complex)
+    for row, (i, j) in zip(rows, _UPPER):
+        h[i, j] = row
+        h[j, i] = row.conj()
     return np.moveaxis(h, (0, 1), (-2, -1))
 
 
@@ -289,29 +308,36 @@ def _ordered_product(u: np.ndarray) -> np.ndarray:
     return u[..., 0]
 
 
-def _step_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for each matrix of an (n, 3, 3) traceless Hermitian stack.
+def _step_exponentials(rows: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) for each step of a zero-diagonal Hermitian h given by its
+    drive rows, shape (3, n): the upper entries h01, h02, h12 (``_drive_rows``).
 
     By Cayley-Hamilton a traceless 3x3 matrix A = h dt obeys
-    A^3 = c1 A + c0 I with c1 = tr(A^2)/2 and c0 = det A = tr(A^3)/3, both
-    real for Hermitian A. So exp(-iA) = f0 I + f1 A + f2 A^2, and its Taylor
-    series is summed on the three coefficient arrays alone (Morningstar &
-    Peardon, Phys. Rev. D 69, 054501 (2004)). Steps beyond spectral radius
-    0.5 are scaled by 2^-s and squared s times in coefficient space (Moler
-    & Van Loan, SIAM Rev. 45, 3 (2003)), so a single step is exact too.
-    A step whose phase bound exceeds 2^26 rad raises ``ArithmeticError``.
-    The result is an (n, 3, 3) view of an entry-major (3, 3, n) array.
+    A^3 = c1 A + c0 I with c1 = tr(A^2)/2 and c0 = det A, both real for
+    Hermitian A. So exp(-iA) = f0 I + f1 A + f2 A^2, and its Taylor series
+    is summed on the three coefficient arrays alone (Morningstar & Peardon,
+    Phys. Rev. D 69, 054501 (2004)). With a zero diagonal the rows give
+    everything: (A^2)_ii is a sum of two |A_ij|^2, the off-diagonal entries
+    of A^2 are single products, (A^2)_01 = A02 conj(A12),
+    (A^2)_02 = A01 A12, (A^2)_12 = conj(A01) A02, and
+    c0 = 2 Re(A01 A12 conj(A02)). Steps beyond spectral radius 0.5 are
+    scaled by 2^-s and squared s times in coefficient space (Moler & Van
+    Loan, SIAM Rev. 45, 3 (2003)), so a single step is exact too. A step
+    whose phase bound exceeds 2^26 rad raises ``ArithmeticError``. The
+    result is an (n, 3, 3) view of an entry-major (3, 3, n) array.
     """
-    # entry-major: no copy for the stacks interaction_hamiltonian returns
-    a = np.ascontiguousarray(h.transpose(1, 2, 0)) * dt
+    a01, a02, a12 = rows * dt
     # a step far beyond the phase bound below may overflow here; the bound
     # check rejects its inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        a2 = _matmul(a, a)
-        # interaction_hamiltonian fills only the entries n < m and their
-        # conjugates: the diagonal is zero, so tr A = 0 and the identity holds.
-        c1 = 0.5 * (a2[0, 0] + a2[1, 1] + a2[2, 2]).real
-        c0 = (a2 * a.swapaxes(0, 1)).sum(axis=(0, 1)).real / 3.0
+        s01 = a01.real**2 + a01.imag**2
+        s02 = a02.real**2 + a02.imag**2
+        s12 = a12.real**2 + a12.imag**2
+        # the diagonal of A^2; c1 is half its trace
+        d0, d1, d2 = s01 + s02, s01 + s12, s02 + s12
+        c1 = 0.5 * (d0 + d1 + d2)
+        q01, q02, q12 = a02 * a12.conj(), a01 * a12, a01.conj() * a02
+        c0 = 2.0 * (q02.real * a02.real + q02.imag * a02.imag)
     # sqrt(tr A^2) bounds every eigenvalue of A in magnitude
     radius = math.sqrt(2.0 * c1.max())
     # a step's roundoff grows as ~1e-16 * radius: above 2^26 rad it passes the
@@ -329,7 +355,7 @@ def _step_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
         omitted *= radius / (terms + 1)
     # Horner on the scaled A: f <- I + (-i/k) A f, where
     # A (f0 I + f1 A + f2 A^2) = c0 f2 I + (f0 + c1 f2) A + f1 A^2
-    f0 = np.ones(a.shape[-1], dtype=complex)
+    f0 = np.ones(a01.shape, dtype=complex)
     f1 = np.zeros_like(f0)
     f2 = np.zeros_like(f0)
     for k in range(terms, 0, -1):
@@ -343,10 +369,13 @@ def _step_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
         )
     f1 = f1 * 0.5**squarings
     f2 = f2 * 0.25**squarings
-    e = f1 * a
-    e += f2 * a2
-    for i in range(3):
-        e[i, i] += f0
+    # f0 I + f1 A + f2 A^2, entry by entry; A and A^2 are Hermitian
+    e = np.empty((3, 3) + f0.shape, dtype=complex)
+    for i, d in enumerate((d0, d1, d2)):
+        e[i, i] = f2 * d + f0
+    for (i, j), a, q in zip(_UPPER, (a01, a02, a12), (q01, q02, q12)):
+        e[i, j] = f1 * a + f2 * q
+        e[j, i] = f1 * a.conj() + f2 * q.conj()
     return e.transpose(2, 0, 1)
 
 
@@ -356,9 +385,9 @@ def propagate(
     """Time-ordered evolution over ``window``, second-order in the step size.
 
     Each sub-interval applies the exponential of the midpoint-evaluated
-    Hamiltonian. Midpoints are taken ``_CHUNK`` at a time: per chunk one
-    Hamiltonian stack, its step exponentials in closed form
-    (``_step_exponentials``) and a pairwise time-ordered product of them;
+    Hamiltonian. Midpoints are taken ``_CHUNK`` at a time: per chunk the
+    three drive rows (``_drive_rows``), the step exponentials in closed form
+    from them (``_step_exponentials``) and a pairwise time-ordered product;
     chunks are multiplied in order, so memory does not grow with
     ``grid.steps``.
     """
@@ -369,12 +398,12 @@ def propagate(
     u = np.eye(3, dtype=complex)
     for first in range(0, grid.steps, _CHUNK):
         t_mid = t0 + (np.arange(first, min(first + _CHUNK, grid.steps)) + 0.5) * dt
-        h = interaction_hamiltonian(t_mid, fields)
-        finite = np.isfinite(h).all(axis=(1, 2))
+        rows = _drive_rows(t_mid, fields)
+        finite = np.isfinite(rows).all(axis=0)
         if not finite.all():
             bad = float(t_mid[np.argmin(finite)])
             raise ArithmeticError(f"non-finite drive amplitude at t = {bad}")
-        u = _ordered_product(_step_exponentials(h, dt)) @ u
+        u = _ordered_product(_step_exponentials(rows, dt)) @ u
     # Each step exponential is unitary to ~2e-16 and the product adds up
     # that roundoff: without this polar projection 4000 steps drift to
     # ~4.6e-13 per window, and the protocol to ~3.1e-13 at 4096 and

@@ -232,15 +232,22 @@ def rotational_partition(
 def vibrational_partition(
     modes: Iterable[VibrationalMode], t_vib_k: float
 ) -> float:
-    """Product of truncated harmonic-ladder sums over the declared modes."""
+    """Product of truncated harmonic-ladder sums over the declared modes.
+
+    Each ladder sum over v = 0..n of exp(-v x), x = h f / k T_vib, is the
+    geometric sum expm1(-(n+1) x) / expm1(-x), so its cost does not grow
+    with ``max_quanta``.
+    """
     _temperature_grid("t_vib_k", t_vib_k)
     z = 1.0
     for mode in modes:
         if t_vib_k == 0.0:
             continue  # only v = 0 survives; the ladder sum is 1
         x = 1000.0 * mode.frequency_thz * K_PER_GHZ / t_vib_k
-        # v = 0 is the 1.0 start: with x = inf its term exp(-0 * inf) would be NaN
-        z *= sum((math.exp(-v * x) for v in range(1, mode.max_quanta + 1)), 1.0)
+        n = mode.max_quanta
+        # x = inf gives -1 / -1 = 1, v = 0 alone; x = 0 (f / T underflows)
+        # makes every term 1
+        z *= math.expm1(-(n + 1) * x) / math.expm1(-x) if x > 0.0 else n + 1.0
     return z
 
 

@@ -110,6 +110,24 @@ class TestProtocol:
         assert code == EXIT_OK
         assert len(out.strip().split("\n")) == 19  # header + 2 x 9
 
+    # sha256 of the CSV on the bundled scenario: any drift in the propagator's
+    # last bits changes these
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("protocol", "2f5294bbc6921f88526411276d3408a0aa6ab6e7969e56b1e0e94356e56479a3"),
+            (
+                "protocol --steps 4096 --chirality both",
+                "42f1535fba0f7b0612ab2b8b7cd7555ca7937a4098cf6d15d6b038392b86586d",
+            ),
+        ],
+    )
+    def test_bundled_csv_digest(self, capsys, monkeypatch, command, digest):
+        monkeypatch.delenv("CTLS_SCENARIO_PATH", raising=False)
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestFigures:
     def test_fig3_schema_and_values(self, capsys, scenario_path):

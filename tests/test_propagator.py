@@ -1,8 +1,11 @@
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -19,6 +22,7 @@ from ctlsim.ctls import (
 )
 from ctlsim.propagator import (
     _CHUNK,
+    _drive_rows,
     _ordered_product,
     _protocol_unitary,
     _step_exponentials,
@@ -232,6 +236,25 @@ class TestInteractionHamiltonian:
         # each matrix entry is one contiguous vector over the times
         assert stacked.transpose(1, 2, 0).flags.c_contiguous
 
+    @pytest.mark.parametrize("t", [0.5e-7, np.linspace(-1e-8, 1.1e-7, 37)], ids=["scalar", "array"])
+    def test_expands_the_drive_rows(self, t):
+        # rows above the diagonal, their conjugates below, zeros on it; the
+        # (1,2) drive is a constant_drive, whose rabi returns a scalar
+        base = noncommuting_detuned_fields()
+        fields = replace(base, drive_12=constant_drive((1, 2), 0.3 - 0.2j))
+        rows = _drive_rows(t, fields)
+        h = interaction_hamiltonian(t, fields)
+        assert rows.shape == (3,) + np.shape(t)
+        assert h.shape == np.shape(t) + (3, 3)
+        assert (rows[0] == 0.3 - 0.2j).all()
+        assert (rows[1] == base.drive_13.rabi(np.asarray(t))).all()
+        assert (rows[2] == base.drive_23.rabi(np.asarray(t))).all()
+        for row, (i, j) in zip(rows, ((0, 1), (0, 2), (1, 2))):
+            assert (h[..., i, j] == row).all()
+            assert (h[..., j, i] == row.conj()).all()
+        for i in range(3):
+            assert (h[..., i, i] == 0.0).all()
+
 
 class TestOrderedProduct:
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 1023, 1024, 1025])
@@ -430,6 +453,12 @@ def zero_diagonal_hermitian(rng, count: int, scale: float) -> np.ndarray:
     return h * (scale / np.abs(h).max(axis=(1, 2)))[:, None, None]
 
 
+def upper_rows(h: np.ndarray) -> np.ndarray:
+    """The drive rows of an (n, 3, 3) zero-diagonal Hermitian stack: its upper
+    entries h01, h02, h12 as one (3, n) array, as _step_exponentials takes them."""
+    return np.stack([h[:, 0, 1], h[:, 0, 2], h[:, 1, 2]])
+
+
 def assert_matches_expm(a: np.ndarray, exponentials: np.ndarray) -> None:
     """Each exp(-iA) of a stack to 1e-14 * max(1, |A|) of scipy's expm, with
     |A| the stack's largest spectral norm, and unitary as tightly.
@@ -451,7 +480,7 @@ class TestStepExponentials:
         a = zero_diagonal_hermitian(np.random.default_rng(int(1e3 * scale) + 17), 64, scale)
         dt = 2.5e-8
         h = a / dt  # rad/s, as propagate passes it
-        assert_matches_expm(h * dt, _step_exponentials(h, dt))
+        assert_matches_expm(h * dt, _step_exponentials(upper_rows(h), dt))
 
     def test_mixed_magnitudes_in_one_chunk(self):
         # the chunk's largest step sets the squarings for all of its steps
@@ -459,21 +488,48 @@ class TestStepExponentials:
         h = np.concatenate(
             [zero_diagonal_hermitian(rng, 16, scale) for scale in (1e-6, 1e-2, 0.7, 15.0)]
         )
-        assert_matches_expm(h, _step_exponentials(h, 1.0))
+        assert_matches_expm(h, _step_exponentials(upper_rows(h), 1.0))
 
     @pytest.mark.parametrize("scale", [1e-3, 3.0])
     def test_strided_view_matches_contiguous_copy(self, scale):
         rng = np.random.default_rng(5)
-        every_other = zero_diagonal_hermitian(rng, 2 * 37, scale)[::2]
-        entry_major = zero_diagonal_hermitian(rng, 37, scale).transpose(1, 2, 0).copy()
-        for view in (every_other, entry_major.transpose(2, 0, 1)):
+        every_other = upper_rows(zero_diagonal_hermitian(rng, 2 * 37, scale))[:, ::2]
+        step_major = upper_rows(zero_diagonal_hermitian(rng, 37, scale)).T.copy().T
+        for view in (every_other, step_major):
             assert not view.flags.c_contiguous
             copy = np.ascontiguousarray(view)
             assert (_step_exponentials(view, 0.7) == _step_exponentials(copy, 0.7)).all()
 
     def test_zero_hamiltonian_is_identity(self):
-        e = _step_exponentials(np.zeros((5, 3, 3), dtype=complex), 1e-9)
+        e = _step_exponentials(np.zeros((3, 5), dtype=complex), 1e-9)
         assert (e == np.eye(3)).all()
+
+    @given(
+        st.lists(
+            st.tuples(
+                *[
+                    st.one_of(
+                        st.just(0.0),
+                        st.tuples(
+                            st.floats(-9.0, math.log10(20.0)), st.floats(0.0, 2.0 * np.pi)
+                        ).map(lambda e: 10.0 ** e[0] * np.exp(1j * e[1])),
+                    )
+                    for _ in range(3)
+                ]
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_entries_on_their_own_scales_match_expm(self, steps):
+        # each entry of each step on its own scale, 1e-9 to 20, or exactly 0
+        rows = np.array(steps, dtype=complex).T
+        a = np.zeros((rows.shape[1], 3, 3), dtype=complex)
+        for row, (i, j) in zip(rows, ((0, 1), (0, 2), (1, 2))):
+            a[:, i, j] = row
+            a[:, j, i] = row.conj()
+        assert_matches_expm(a, _step_exponentials(rows, 1.0))
 
     @pytest.mark.parametrize("area", [0.0, 1e-12, 1e-6, 1e-3, 0.3, np.pi / 4.0, 1.75 * np.pi, 20.0])
     def test_single_transition(self, area):
@@ -482,7 +538,7 @@ class TestStepExponentials:
             h = np.zeros((1, 3, 3), dtype=complex)
             h[0, n, m] = area * np.exp(0.3j)
             h[0, m, n] = area * np.exp(-0.3j)
-            assert_matches_expm(h, _step_exponentials(h, 1.0))
+            assert_matches_expm(h, _step_exponentials(upper_rows(h), 1.0))
 
     @pytest.mark.parametrize("steps", [1, 7, 2000])
     def test_protocol_steps_unitary_to_1e_14(self, steps):
@@ -496,7 +552,7 @@ class TestStepExponentials:
                         t0, t1 = step.window
                         dt = (t1 - t0) / steps
                         h = interaction_hamiltonian(t0 + (np.arange(steps) + 0.5) * dt, fields)
-                        e = _step_exponentials(h, dt)
+                        e = _step_exponentials(upper_rows(h), dt)
                         defect = np.abs(e.conj().swapaxes(1, 2) @ e - np.eye(3)).max()
                         assert defect <= 1e-14
 

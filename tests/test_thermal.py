@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -257,6 +258,32 @@ class TestVibrationalPartition:
         # h f / k T overflows to inf; only v = 0 survives, as at T_vib = 0
         mode = VibrationalMode(name="stiff", frequency_thz=frequency_thz)
         assert vibrational_partition((mode,), t_vib_k) == 1.0
+
+    @given(
+        st.floats(1e-6, 1e4), st.floats(1e-3, 1e4), st.integers(1, 3000)
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_closed_form_matches_the_ladder_loop(self, frequency_thz, t_vib_k, max_quanta):
+        # the loop over v = 0..max_quanta, summed without rounding (fsum)
+        mode = VibrationalMode(name="m", frequency_thz=frequency_thz, max_quanta=max_quanta)
+        x = 1000.0 * frequency_thz * K_PER_GHZ / t_vib_k
+        loop = math.fsum(math.exp(-v * x) for v in range(max_quanta + 1))
+        assert vibrational_partition((mode,), t_vib_k) == pytest.approx(loop, rel=1e-15, abs=0.0)
+
+    def test_billion_quanta_in_constant_time(self):
+        # the ladder is summed in closed form, not term by term
+        mode = VibrationalMode(name="soft", frequency_thz=1.0, max_quanta=10**9)
+        start = time.perf_counter()
+        z = vibrational_partition((mode,), 300.0)
+        assert time.perf_counter() - start < 0.5
+        # 10**9 quanta reach far beyond the ladder's tail: the infinite sum
+        x = 1000.0 * K_PER_GHZ / 300.0
+        assert z == pytest.approx(-1.0 / math.expm1(-x), rel=1e-15, abs=0.0)
+
+    def test_underflowing_exponent_counts_every_quantum(self):
+        # h f / k T underflows to 0: every term of the ladder is 1
+        mode = VibrationalMode(name="limp", frequency_thz=5e-324, max_quanta=7)
+        assert vibrational_partition((mode,), 300.0) == 8.0
 
     def test_two_modes_factorize(self, oh_stretch):
         other = VibrationalMode(name="other", frequency_thz=50.0, max_quanta=3)

@@ -91,9 +91,9 @@ def _cmd_levels(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]
 
 def _cmd_populations(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
     config = to_ctls_config(scenario)
-    p = config.populations(scenario.temperatures)
+    p1, p2, p3 = config.populations(scenario.temperatures)
     columns = ["t_rot_k", "t_vib_k", "p1", "p2", "p3"]
-    rows = [[scenario.temperatures.t_rot_k, scenario.temperatures.t_vib_k, p.p1, p.p2, p.p3]]
+    rows = [[scenario.temperatures.t_rot_k, scenario.temperatures.t_vib_k, p1, p2, p3]]
     return columns, rows
 
 

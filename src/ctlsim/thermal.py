@@ -6,6 +6,13 @@ Boltzmann factors: exp(-h*f_vib / kB*T_vib) * exp(-h*f_rot / kB*T_rot).
 Within the three addressed levels the normalizer is the three-term sum; for
 proportions relative to the whole molecule the normalizer is the full
 ro-vibrational partition function including M degeneracy.
+
+Every exponent h*E / kB*T comes from one kernel, ``_exponents``. T = 0 is
+the exact limit T -> 0+: the exponent is 0 for E = 0 and inf for E > 0. An
+exponent above the float range is inf as well, so a positive temperature
+however small gives the same limit. Whole-manifold shares then keep only
+E = 0 levels; a loop keeps its own lowest level (``loop_populations``).
+Loop populations are one (3,) array (p1, p2, p3) per temperature.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ __all__ = [
     "Temperatures",
     "VibrationalMode",
     "RoVibLevel",
-    "OccupationTriple",
     "ConvergenceError",
     "check_loop_levels",
     "loop_populations",
@@ -71,8 +77,8 @@ class VibrationalMode:
     def __post_init__(self) -> None:
         if not np.isfinite(self.frequency_thz) or self.frequency_thz <= 0.0:
             raise ValueError(f"mode frequency must be finite and > 0, got {self.frequency_thz}")
-        if self.max_quanta < 1:
-            raise ValueError(f"max_quanta must be >= 1, got {self.max_quanta}")
+        if not 1 <= self.max_quanta <= 2**53:  # counts up to 2**53 are exact floats
+            raise ValueError(f"max_quanta must lie in [1, 2**53], got {self.max_quanta}")
 
 
 @dataclass(frozen=True)
@@ -98,27 +104,6 @@ class RoVibLevel:
         return 1000.0 * self.vib_energy_thz
 
 
-@dataclass(frozen=True)
-class OccupationTriple:
-    """Normalized populations of the three addressed levels."""
-
-    p1: float
-    p2: float
-    p3: float
-
-    def __post_init__(self) -> None:
-        for name in ("p1", "p2", "p3"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        total = self.p1 + self.p2 + self.p3
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"populations must sum to 1 within 1e-12, got {total}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2, self.p3])
-
-
 def _temperature_grid(name: str, t_k: float | np.ndarray, positive: bool = False) -> np.ndarray:
     """A float or 1-D array of temperatures in kelvin as a 1-D float array.
 
@@ -133,6 +118,21 @@ def _temperature_grid(name: str, t_k: float | np.ndarray, positive: bool = False
         bound = "> 0" if positive else ">= 0"
         raise ValueError(f"{name} must be finite and {bound}, got {t[bad][0]}")
     return t
+
+
+def _exponents(energies_ghz: Sequence[float] | np.ndarray, t_k: float | np.ndarray) -> np.ndarray:
+    """Boltzmann exponents h*E / kB*T, shape (len(t_k), len(energies_ghz)).
+
+    T = 0 gives the limit T -> 0+: 0 where E = 0, inf where E > 0. An
+    exponent above the float range is inf too.
+    """
+    e = np.asarray(energies_ghz, dtype=float)
+    t = np.asarray(t_k, dtype=float).reshape(-1, 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = e * K_PER_GHZ / t
+        if not t.all():  # T = 0 rows from E itself: E * K_PER_GHZ can underflow to 0
+            x[t[:, 0] == 0.0] = np.where(e == 0.0, 0.0, e * np.inf)
+    return x
 
 
 def _ground(energies_ghz: np.ndarray) -> np.ndarray:
@@ -164,24 +164,20 @@ def loop_populations(
     normalized over the three levels only; the loop addresses single M
     sublevels, so no degeneracy factors enter. The combined exponent is
     shifted so the largest weight is 1, which keeps the ratios exact for any
-    energy scale. A zero temperature is handled as the exact limit: weight
-    collapses onto the minimal energy of the frozen degree of freedom
-    (minimal total energy if both temperatures are zero), with exact ties
-    split equally, and the other one stays thermal within that set. A
-    positive temperature so small that one of its exponents overflows gives
-    the same limit: every weight outside that ground set underflows to 0.
+    energy scale. A degree of freedom with an infinite exponent is frozen:
+    weight collapses onto the loop's own minimal energy for it (minimal
+    total energy if both are frozen), with exact ties split equally, and the
+    other one stays thermal within that set.
     """
     check_loop_levels(levels)
     t_rot = _temperature_grid("t_rot_k", t_rot_k)
-    (t_vib,) = _temperature_grid("t_vib_k", t_vib_k)
     vib = np.array([lv.vib_energy_ghz for lv in levels])
     rot = np.array([lv.rot.energy_ghz for lv in levels])
-    with np.errstate(over="ignore"):  # an infinite exponent freezes its row below
-        x = rot * K_PER_GHZ / np.where(t_rot > 0.0, t_rot, np.inf)[:, None]
-        x_vib = vib * K_PER_GHZ / (t_vib if t_vib > 0.0 else np.inf)
-    hot = (t_rot > 0.0) & np.isfinite(x).all(axis=1)
+    x = _exponents(rot, t_rot)
+    (x_vib,) = _exponents(vib, _temperature_grid("t_vib_k", t_vib_k))
+    hot = np.isfinite(x).all(axis=1)  # an infinite exponent freezes its row
     x[~hot] = 0.0
-    if t_vib > 0.0 and np.isfinite(x_vib).all():
+    if np.isfinite(x_vib).all():
         x += x_vib
         allowed_hot, allowed_cold = np.ones(3, bool), _ground(rot)
     else:
@@ -191,11 +187,9 @@ def loop_populations(
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def ctls_populations(
-    levels: Sequence[RoVibLevel], temps: Temperatures
-) -> OccupationTriple:
-    """``loop_populations`` at one temperature pair."""
-    return OccupationTriple(*loop_populations(levels, temps.t_rot_k, temps.t_vib_k)[0])
+def ctls_populations(levels: Sequence[RoVibLevel], temps: Temperatures) -> np.ndarray:
+    """``loop_populations`` at one temperature pair: the (3,) row (p1, p2, p3)."""
+    return loop_populations(levels, temps.t_rot_k, temps.t_vib_k)[0]
 
 
 def rotational_partition(
@@ -214,11 +208,9 @@ def rotational_partition(
     total = np.zeros(len(t))
     active = np.arange(len(t))
     for j in range(_J_CAP + 1):
-        energies = block_energies(j, constants)
-        with np.errstate(over="ignore"):  # weights below the float range are 0
-            contribution = (2 * j + 1) * np.exp(
-                -energies * K_PER_GHZ / t[active, None]
-            ).sum(axis=1)
+        x = _exponents(block_energies(j, constants), t[active])
+        # in place: a fresh (N, 2J+1) temporary costs as much as the exp
+        contribution = (2 * j + 1) * np.exp(np.negative(x, out=x), out=x).sum(axis=1)
         total[active] += contribution
         active = active[~(contribution < rel_tol * total[active])]
         if not active.size:
@@ -238,15 +230,15 @@ def vibrational_partition(
     geometric sum expm1(-(n+1) x) / expm1(-x), so its cost does not grow
     with ``max_quanta``.
     """
-    _temperature_grid("t_vib_k", t_vib_k)
+    modes = tuple(modes)
+    (exponents,) = _exponents(
+        [1000.0 * mode.frequency_thz for mode in modes], _temperature_grid("t_vib_k", t_vib_k)
+    )
     z = 1.0
-    for mode in modes:
-        if t_vib_k == 0.0:
-            continue  # only v = 0 survives; the ladder sum is 1
-        x = 1000.0 * mode.frequency_thz * K_PER_GHZ / t_vib_k
+    for mode, x in zip(modes, exponents.tolist()):
         n = mode.max_quanta
-        # x = inf gives -1 / -1 = 1, v = 0 alone; x = 0 (f / T underflows)
-        # makes every term 1
+        # x = inf (T = 0 or overflow) gives -1 / -1 = 1, v = 0 alone;
+        # x = 0 (f / T underflows) makes every term 1
         z *= math.expm1(-(n + 1) * x) / math.expm1(-x) if x > 0.0 else n + 1.0
     return z
 
@@ -268,12 +260,8 @@ def global_proportion(
     t_rot = _temperature_grid("t_rot_k", t_rot_k, positive=True)
     z_rot = rotational_partition(constants, t_rot)
     z_vib = vibrational_partition(modes, t_vib_k)
-    with np.errstate(over="ignore"):  # weights below the float range are 0
-        if t_vib_k == 0.0:
-            p_vib = np.array([float(lv.vib_quantum == 0) for lv in levels])
-        else:
-            p_vib = np.exp(-(np.array([lv.vib_energy_ghz for lv in levels]) * K_PER_GHZ / t_vib_k))
-        p_rot = np.exp(-(np.array([lv.rot.energy_ghz for lv in levels]) * K_PER_GHZ / t_rot[:, None]))
+    p_vib = np.exp(-_exponents([lv.vib_energy_ghz for lv in levels], t_vib_k))
+    p_rot = np.exp(-_exponents([lv.rot.energy_ghz for lv in levels], t_rot))
     return p_vib * p_rot / (z_vib * z_rot[:, None])
 
 

@@ -17,7 +17,6 @@ from .ctls import Chirality, total_unitary
 from .propagator import apply_to_density, ideal_schedule, run_protocol
 from .rotor import RotationalConstants, RotorLevel, level_index, rotor_levels
 from .thermal import (
-    OccupationTriple,
     RoVibLevel,
     Temperatures,
     VibrationalMode,
@@ -136,21 +135,30 @@ class CtlsConfig:
                 f"purely_rotational loop needs vib quanta (0, 0, 0), got {quanta}"
             )
 
-    def populations(self, temps: Temperatures) -> OccupationTriple:
+    def populations(self, temps: Temperatures) -> np.ndarray:
+        """Loop populations (p1, p2, p3) at one temperature pair, shape (3,)."""
         return ctls_populations(self.levels, temps)
 
 
 def final_states(
-    populations: OccupationTriple, method: str = "analytic"
+    populations: np.ndarray, method: str = "analytic"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Density matrices after the protocol for the two handednesses.
 
-    ``analytic`` conjugates by the closed-form composite unitaries;
-    ``numeric`` propagates the canonical rectangular schedule. Either way
-    the left-handed final occupations are (p1, p3, p2) and the right-handed
-    ones (p2, p1, p3).
+    ``populations`` is the (3,) row (p1, p2, p3): each value in [0, 1], the
+    sum 1 within 1e-12. ``analytic`` conjugates by the closed-form composite
+    unitaries; ``numeric`` propagates the canonical rectangular schedule.
+    Either way the left-handed final occupations are (p1, p3, p2) and the
+    right-handed ones (p2, p1, p3).
     """
-    rho = np.diag(populations.as_array()).astype(complex)
+    p = np.asarray(populations, dtype=float)
+    if p.shape != (3,):
+        raise ValueError(f"populations must have shape (3,), got {p.shape}")
+    if not ((0.0 <= p) & (p <= 1.0)).all():
+        raise ValueError(f"populations must lie in [0, 1], got {p}")
+    if abs(p.sum() - 1.0) > 1e-12:
+        raise ValueError(f"populations must sum to 1 within 1e-12, got {p.sum()}")
+    rho = np.diag(p).astype(complex)
     if method == "analytic":
         u_left = total_unitary(Chirality.L)
         u_right = total_unitary(Chirality.R)
@@ -163,15 +171,14 @@ def final_states(
     return apply_to_density(u_left, rho), apply_to_density(u_right, rho)
 
 
-def enantiomeric_excess(populations: OccupationTriple | np.ndarray) -> float | np.ndarray:
+def enantiomeric_excess(populations: np.ndarray) -> float | np.ndarray:
     """Normalized population difference between enantiomers in level |2>.
 
     After the protocol the left-handed |2> occupation is p3 and the
-    right-handed one is p1, giving |p3 - p1| / (p3 + p1). An (N, 3) array of
-    (p1, p2, p3) rows gives one excess per row.
+    right-handed one is p1, giving |p3 - p1| / (p3 + p1). A (3,) row
+    (p1, p2, p3) gives one excess, an (N, 3) array one per row.
     """
-    p = populations.as_array() if isinstance(populations, OccupationTriple) else populations
-    p1, p3 = p[..., 0], p[..., 2]
+    p1, p3 = populations[..., 0], populations[..., 2]
     if np.any(p1 + p3 == 0.0):
         raise ValueError("excess undefined: levels 1 and 3 are both unoccupied")
     return np.abs(p3 - p1) / (p3 + p1)

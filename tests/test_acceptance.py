@@ -11,7 +11,6 @@ from ctlsim.ctls import Chirality, analytic_step_unitary, total_unitary
 from ctlsim.propagator import apply_to_density, ideal_schedule, run_protocol
 from ctlsim.rotor import RotationalConstants, rotor_levels
 from ctlsim.thermal import (
-    OccupationTriple,
     Temperatures,
     ctls_populations,
     rotational_partition,
@@ -57,7 +56,7 @@ def test_criterion_1_composite_unitaries():
 
 def test_criterion_2_population_exchange():
     failures = []
-    p = OccupationTriple(1.0, 0.0, 0.0)
+    p = np.array([1.0, 0.0, 0.0])
     rho_left, rho_right = final_states(p, method="numeric")
     occupations_left = np.diag(rho_left).real
     occupations_right = np.diag(rho_right).real
@@ -101,13 +100,12 @@ def test_criterion_4_rotational_excess_curve():
 def test_criterion_5_rotational_populations():
     failures = []
     config = build_config("purely_rotational")
-    p_10 = ctls_populations(config.levels, Temperatures(10.0, 300.0))
-    values = p_10.as_array()
+    values = ctls_populations(config.levels, Temperatures(10.0, 300.0))
     if not np.all((values >= 0.30) & (values <= 0.36)):
         failures.append(f"populations at 10 K {values} outside [0.30, 0.36]")
     if abs(values.sum() - 1.0) > 1e-12:
         failures.append(f"populations at 10 K sum to {values.sum()}")
-    p_300 = ctls_populations(config.levels, Temperatures(300.0, 300.0)).as_array()
+    p_300 = ctls_populations(config.levels, Temperatures(300.0, 300.0))
     if not np.all(np.abs(p_300 - 0.334) <= 0.002):
         failures.append(f"populations at 300 K {p_300} outside 0.334 +- 0.002")
     check(5, "purely rotational populations at 10 K and 300 K", failures)

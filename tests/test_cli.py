@@ -259,13 +259,18 @@ class TestScenarioHandling:
             ("A: 8.5244", "A: 1" + "0" * 400, "molecule.rotational_constants_ghz.A: int too large"),
             ("t_rot_k: 10.0", "t_rot_k: 1" + "0" * 400, "temperatures.t_rot_k: int too large"),
             (
+                "max_quanta: 5",
+                "max_quanta: 1" + "0" * 400,
+                "molecule.vibrational_modes[0]: max_quanta must lie in [1, 2**53]",
+            ),
+            (
                 "mode: ro_vibrational",
                 "mode: bogus",
                 "ctls.mode: mode must be one of ('ro_vibrational', 'purely_rotational'), "
                 "got 'bogus'",
             ),
         ],
-        ids=["huge-int-A", "huge-int-t_rot", "unknown-mode"],
+        ids=["huge-int-A", "huge-int-t_rot", "huge-int-max_quanta", "unknown-mode"],
     )
     def test_bad_value_exit_3(self, capsys, tmp_path, old, new, message):
         bad = tmp_path / "bad.scenario"

@@ -120,11 +120,16 @@ GRID_WITH_ZERO = st.lists(
 @settings(deadline=None, max_examples=60)
 def test_population_and_excess_sweeps_equal_per_point(config, grid, t_vib):
     expected = np.array([reference_populations(config.levels, t, t_vib) for t in grid])
-    assert np.array_equal(population_sweep(config, grid, t_vib), expected)
+    populations = population_sweep(config, grid, t_vib)
+    assert np.array_equal(populations, expected)
+    # every row is a probability vector, T = 0 rows included
+    assert ((0.0 <= populations) & (populations <= 1.0)).all()
+    assert np.abs(populations.sum(axis=1) - 1.0).max() <= 1e-12
     p1, p3 = expected[:, 0], expected[:, 2]
     assert np.array_equal(excess_sweep(config, grid, t_vib), np.abs(p3 - p1) / (p3 + p1))
     one_point = ctls_populations(config.levels, Temperatures(grid[-1], t_vib))
-    assert np.array_equal(one_point.as_array(), expected[-1])
+    assert one_point.shape == (3,)
+    assert np.array_equal(one_point, expected[-1])
 
 
 @given(

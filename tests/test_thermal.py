@@ -10,7 +10,6 @@ from ctlsim.rotor import RotationalConstants, RotorLevel, rotor_levels
 from ctlsim.thermal import (
     K_PER_GHZ,
     ConvergenceError,
-    OccupationTriple,
     RoVibLevel,
     Temperatures,
     VibrationalMode,
@@ -44,12 +43,12 @@ class TestCtlsPopulations:
     def test_identical_energies_equipartition(self):
         levels = [bare_level(i, 5.0) for i in range(1, 4)]
         p = ctls_populations(levels, Temperatures(10.0, 300.0))
-        assert p.as_array() == pytest.approx([1 / 3] * 3, abs=1e-14)
+        assert p == pytest.approx([1 / 3] * 3, abs=1e-14)
 
     def test_zero_temperature_ground_state(self):
         levels = [bare_level(1, 0.0), bare_level(2, 5.0), bare_level(3, 9.0)]
         p = ctls_populations(levels, Temperatures(0.0, 0.0))
-        assert p.as_array() == pytest.approx([1.0, 0.0, 0.0], abs=0.0)
+        assert p == pytest.approx([1.0, 0.0, 0.0], abs=0.0)
 
     def test_zero_rotational_temperature_only(self):
         # frozen rotation picks the rotational ground pair; vibration still thermal
@@ -60,24 +59,24 @@ class TestCtlsPopulations:
         ]
         p = ctls_populations(levels, Temperatures(0.0, 300.0))
         w2 = math.exp(-100950.0 * K_PER_GHZ / 300.0)
-        assert p.p3 == 0.0
-        assert p.p2 / p.p1 == pytest.approx(w2, rel=1e-12)
+        assert p[2] == 0.0
+        assert p[1] / p[0] == pytest.approx(w2, rel=1e-12)
 
     def test_rovib_loop_barely_excited(self, rovib_config):
         p = ctls_populations(rovib_config.levels, Temperatures(300.0, 300.0))
-        assert p.p2 + p.p3 == pytest.approx(1.9346223947240966e-07, rel=1e-9)
-        assert p.p1 == pytest.approx(1.0 - 1.9346223947240966e-07, rel=1e-12)
+        assert p[1] + p[2] == pytest.approx(1.9346223947240966e-07, rel=1e-9)
+        assert p[0] == pytest.approx(1.0 - 1.9346223947240966e-07, rel=1e-12)
 
     def test_rotational_loop_at_10k(self, rotational_config):
         p = ctls_populations(rotational_config.levels, Temperatures(10.0, 300.0))
-        assert p.as_array() == pytest.approx(
+        assert p == pytest.approx(
             [0.3459650191788042, 0.3276819104071756, 0.3263530704140203], abs=1e-12
         )
 
     def test_equal_energy_levels_exchange_invariant(self):
         levels = [bare_level(1, 0.0), bare_level(2, 4.0), bare_level(3, 4.0)]
         p = ctls_populations(levels, Temperatures(3.0, 300.0))
-        assert p.p2 == pytest.approx(p.p3, rel=1e-14)
+        assert p[1] == pytest.approx(p[2], rel=1e-14)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=3, max_size=3),
@@ -91,18 +90,18 @@ class TestCtlsPopulations:
         temps = Temperatures(t_rot, 300.0)
         p = ctls_populations(levels, temps)
         q = ctls_populations(shifted, temps)
-        assert p.p1 + p.p2 + p.p3 == pytest.approx(1.0, abs=1e-12)
-        assert p.as_array() == pytest.approx(q.as_array(), abs=1e-10)
+        assert p[0] + p[1] + p[2] == pytest.approx(1.0, abs=1e-12)
+        assert p == pytest.approx(q, abs=1e-10)
 
     def test_p1_nonincreasing_and_equipartition_limit(self, rotational_config):
         temps = np.logspace(-2, 4, 40)
         p1 = [
-            ctls_populations(rotational_config.levels, Temperatures(t, 300.0)).p1
+            ctls_populations(rotational_config.levels, Temperatures(t, 300.0))[0]
             for t in temps
         ]
         assert all(a >= b - 1e-15 for a, b in zip(p1, p1[1:]))
         p_hot = ctls_populations(rotational_config.levels, Temperatures(1e7, 300.0))
-        assert p_hot.as_array() == pytest.approx([1 / 3] * 3, abs=1e-6)
+        assert p_hot == pytest.approx([1 / 3] * 3, abs=1e-6)
 
     def test_extreme_energy_scales_stay_normalized(self):
         # combined-exponent shifting: huge rotational splittings must not
@@ -113,7 +112,7 @@ class TestCtlsPopulations:
             bare_level(3, 2e6 + 5.0, vib_thz=0.0),
         ]
         p = ctls_populations(levels, Temperatures(10.0, 300.0))
-        assert p.as_array() == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+        assert p == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
 
     def test_frozen_vibration_renormalizes_within_subset(self):
         levels = [
@@ -122,10 +121,10 @@ class TestCtlsPopulations:
             bare_level(3, 2e6 + 5.0, vib_thz=0.0),
         ]
         p = ctls_populations(levels, Temperatures(10.0, 0.0))
-        assert p.p1 == 0.0
+        assert p[0] == 0.0
         ratio = math.exp(-5.0 * K_PER_GHZ / 10.0)
         # exponents ~1e4 leave ~1e-12 of cancellation noise in the ratio
-        assert p.p3 / p.p2 == pytest.approx(ratio, rel=1e-9)
+        assert p[2] / p[1] == pytest.approx(ratio, rel=1e-9)
 
     def test_duplicate_levels_rejected(self):
         level = bare_level(1, 0.0)
@@ -177,10 +176,19 @@ class TestTinyTemperatures:
     def test_global_proportion_and_partition_sum(self, rovib_config):
         # Z_rot(1e-310 K) is the J = 0 ground state alone
         assert rotational_partition(PROPANEDIOL, 1e-310) == 1.0
-        shares = global_proportion(
-            rovib_config.levels, PROPANEDIOL, (OH_STRETCH,), [1e-310, 1e-5], 1e-310
-        )
-        assert (shares == [[1.0, 0.0, 0.0]] * 2).all()
+        # the manifold's ground is E_vib = 0: a set of v >= 1 levels only,
+        # unlike a loop's own minimum, keeps no share at T_vib -> 0
+        excited = rovib_config.levels[1:]
+        assert all(level.vib_quantum >= 1 for level in excited)
+        for t_vib in (0.0, 1e-310):
+            shares = global_proportion(
+                rovib_config.levels, PROPANEDIOL, (OH_STRETCH,), [1e-310, 1e-5], t_vib
+            )
+            assert (shares == [[1.0, 0.0, 0.0]] * 2).all()
+            shares = global_proportion(
+                excited, PROPANEDIOL, (OH_STRETCH,), [1e-310, 1e-5, 10.0], t_vib
+            )
+            assert (shares == 0.0).all()
 
 
 class TestRotationalPartition:
@@ -280,6 +288,15 @@ class TestVibrationalPartition:
         x = 1000.0 * K_PER_GHZ / 300.0
         assert z == pytest.approx(-1.0 / math.expm1(-x), rel=1e-15, abs=0.0)
 
+    def test_max_quanta_up_to_the_exact_float_integers(self):
+        # n + 1 terms are counted in floats; beyond 2**53 the count is inexact
+        mode = VibrationalMode(name="soft", frequency_thz=1.0, max_quanta=2**53)
+        x = 1000.0 * K_PER_GHZ / 300.0
+        z = vibrational_partition((mode,), 300.0)
+        assert z == pytest.approx(-1.0 / math.expm1(-x), rel=1e-15)
+        with pytest.raises(ValueError, match=r"max_quanta must lie in \[1, 2\*\*53\]"):
+            VibrationalMode(name="soft", frequency_thz=1.0, max_quanta=2**53 + 1)
+
     def test_underflowing_exponent_counts_every_quantum(self):
         # h f / k T underflows to 0: every term of the ladder is 1
         mode = VibrationalMode(name="limp", frequency_thz=5e-324, max_quanta=7)
@@ -340,13 +357,3 @@ class TestYieldEta:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
             yield_eta(bad)
-
-
-class TestOccupationTriple:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            OccupationTriple(0.5, 0.4, 0.2)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            OccupationTriple(1.2, -0.1, -0.1)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctlsim.rotor import RotationalConstants
-from ctlsim.thermal import K_PER_GHZ, OccupationTriple, Temperatures
+from ctlsim.thermal import K_PER_GHZ, Temperatures
 from ctlsim.transfer import (
     PURELY_ROTATIONAL,
     RO_VIBRATIONAL,
@@ -24,8 +24,8 @@ from .conftest import OH_STRETCH, PROPANEDIOL
 EPS_10K = 0.029170639714099413  # direct arithmetic at 10 K, tau labeling
 
 
-def triple(p1, p2, p3) -> OccupationTriple:
-    return OccupationTriple(p1, p2, p3)
+def triple(p1, p2, p3) -> np.ndarray:
+    return np.array([p1, p2, p3])
 
 
 def triples_strategy():
@@ -34,7 +34,7 @@ def triples_strategy():
         st.floats(min_value=1e-6, max_value=1.0),
         st.floats(min_value=1e-6, max_value=1.0),
     )
-    return weights.map(lambda w: OccupationTriple(*(x / sum(w) for x in w)))
+    return weights.map(lambda w: np.array([x / sum(w) for x in w]))
 
 
 class TestLevelLabeling:
@@ -140,7 +140,7 @@ class TestFinalStates:
         rng = np.random.default_rng(11)
         for _ in range(100):
             w = rng.uniform(1e-3, 1.0, size=3)
-            p = OccupationTriple(*(w / w.sum()))
+            p = w / w.sum()
             analytic_left, analytic_right = final_states(p, method="analytic")
             numeric_left, numeric_right = final_states(p, method="numeric")
             assert np.abs(numeric_left - analytic_left).max() < 1e-8
@@ -149,6 +149,19 @@ class TestFinalStates:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             final_states(triple(1.0, 0.0, 0.0), method="magic")
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            final_states(triple(0.5, 0.4, 0.2))
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            final_states(triple(1.2, -0.1, -0.1))
+
+    def test_rejects_wrong_shape(self):
+        # the (1, 3) grid that loop_populations returns for one temperature
+        with pytest.raises(ValueError, match=r"shape \(3,\), got \(1, 3\)"):
+            final_states(np.array([[1.0, 0.0, 0.0]]))
 
 
 class TestEnantiomericExcess:
@@ -179,7 +192,7 @@ class TestEnantiomericExcess:
             enantiomeric_excess(populations), abs=1e-12
         )
         # and the ratio form |1 - 2/(1 + p1/p3)|
-        from_ratio = abs(1.0 - 2.0 / (1.0 + populations.p1 / populations.p3))
+        from_ratio = abs(1.0 - 2.0 / (1.0 + populations[0] / populations[2]))
         assert from_ratio == pytest.approx(enantiomeric_excess(populations), abs=1e-9)
 
     def test_invariance_under_energy_shift_and_rescaling(self, rotational_config):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ctls import Chirality, total_unitary
 from .propagator import ideal_schedule, run_protocol
-from .rotor import rotor_spectrum
+from .rotor import J_MAX, rotor_spectrum
 from .scenario import (
     SCENARIO_PATH_ENV,
     ScenarioError,
@@ -187,8 +187,9 @@ _COMMANDS = {
 }
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _int_range(minimum: int, maximum: int | None = None):
+    """argparse type: an integer no smaller than ``minimum`` and no larger
+    than ``maximum``, if one is given."""
 
     def parse(text: str) -> int:
         try:
@@ -197,6 +198,8 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -220,7 +223,7 @@ def build_parser() -> _Parser:
         )
 
     levels = subparsers.add_parser("levels", help="rotor level table")
-    levels.add_argument("--jmax", type=_at_least(0), default=3)
+    levels.add_argument("--jmax", type=_int_range(0, J_MAX), default=3)
     add_common(levels)
 
     populations = subparsers.add_parser("populations", help="loop thermal populations")
@@ -230,7 +233,7 @@ def build_parser() -> _Parser:
         "protocol", help="closed-form and propagated composite unitaries"
     )
     protocol.add_argument("--chirality", choices=("L", "R", "both"), default="both")
-    protocol.add_argument("--steps", type=_at_least(1), default=2000)
+    protocol.add_argument("--steps", type=_int_range(1), default=2000)
     add_common(protocol)
 
     excess = subparsers.add_parser("excess", help="excess vs rotational temperature")

@@ -6,6 +6,9 @@ between the two enantiomers. Sign convention used throughout: the (1,3)
 amplitude of the left-handed species is the negated base amplitude, which
 makes the three-step protocol return left-handed molecules to the ground
 state and transfer right-handed ones from |1> to |2>.
+
+A drive is its Rabi function W_nm(t): the ``CouplingSet`` slot it fills,
+``drive_12``, ``drive_23`` or ``drive_13``, says which transition it couples.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "Chirality",
-    "DriveField",
     "CouplingSet",
     "constant_drive",
     "zero_drive",
@@ -31,7 +33,6 @@ __all__ = [
 
 RabiFunction = Callable[[np.ndarray], np.ndarray | complex]
 
-_TRANSITIONS = ((1, 2), (2, 3), (1, 3))
 _SQ2 = 1.0 / np.sqrt(2.0)
 
 
@@ -42,66 +43,37 @@ class Chirality(enum.Enum):
     R = "R"
 
 
-@dataclass(frozen=True)
-class DriveField:
-    """One classical field driving the (n, m) transition, m > n.
-
-    ``rabi`` is the complex coupling amplitude in rad/s as a function of
-    time in seconds. It takes a scalar or an array of times and returns a
-    value of the same shape; a time-independent amplitude may return a
-    scalar for any input, which callers broadcast. A detuning Delta is a
-    phase e^{i Delta t} folded into ``rabi``.
-    """
-
-    transition: tuple[int, int]
-    rabi: RabiFunction
-
-    def __post_init__(self) -> None:
-        n, m = self.transition
-        if not (1 <= n < m <= 3):
-            raise ValueError(
-                f"transition must be an ordered pair (n, m) with 1 <= n < m <= 3, "
-                f"got {self.transition}"
-            )
-
-
-def constant_drive(transition: tuple[int, int], amplitude: complex) -> DriveField:
+def constant_drive(amplitude: complex) -> RabiFunction:
     """Drive with a time-independent amplitude."""
     value = complex(amplitude)
-    return DriveField(transition=transition, rabi=lambda t: value)
+    return lambda t: value
 
 
-def zero_drive(transition: tuple[int, int]) -> DriveField:
-    """Inactive drive on a transition."""
-    return constant_drive(transition, 0.0)
+def zero_drive() -> RabiFunction:
+    """Inactive drive."""
+    return constant_drive(0.0)
 
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """The three drives of the loop, optionally tagged with a chirality."""
+    """The three drives of the loop, optionally tagged with a chirality.
 
-    drive_12: DriveField
-    drive_23: DriveField
-    drive_13: DriveField
+    Each drive is the complex coupling amplitude W_nm(t) in rad/s of the
+    transition its field names, as a function of time in seconds. It takes
+    a scalar or an array of times and returns a value of the same shape; a
+    time-independent amplitude may return a scalar for any input, which
+    callers broadcast. A detuning Delta is a phase e^{i Delta t} folded into
+    the amplitude.
+    """
+
+    drive_12: RabiFunction
+    drive_23: RabiFunction
+    drive_13: RabiFunction
     chirality: Chirality | None = None
 
-    def __post_init__(self) -> None:
-        expected = dict(zip(("drive_12", "drive_23", "drive_13"), _TRANSITIONS))
-        for name, transition in expected.items():
-            field = getattr(self, name)
-            if field.transition != transition:
-                raise ValueError(
-                    f"{name} must drive transition {transition}, got {field.transition}"
-                )
 
-    @property
-    def drives(self) -> tuple[DriveField, DriveField, DriveField]:
-        return (self.drive_12, self.drive_23, self.drive_13)
-
-
-def _negated(field: DriveField) -> DriveField:
-    base = field.rabi
-    return DriveField(transition=field.transition, rabi=lambda t: -base(t))
+def _negated(drive: RabiFunction) -> RabiFunction:
+    return lambda t: -drive(t)
 
 
 def signed_couplings(base: CouplingSet, chirality: Chirality) -> CouplingSet:
@@ -124,9 +96,9 @@ def signed_couplings(base: CouplingSet, chirality: Chirality) -> CouplingSet:
 
 def overall_phase(couplings: CouplingSet, t: float = 0.0) -> float:
     """Loop phase arg(W12 * W23 * conj(W13)) at time ``t``, in [0, 2*pi)."""
-    w12 = complex(couplings.drive_12.rabi(t))
-    w23 = complex(couplings.drive_23.rabi(t))
-    w13 = complex(couplings.drive_13.rabi(t))
+    w12 = complex(couplings.drive_12(t))
+    w23 = complex(couplings.drive_23(t))
+    w13 = complex(couplings.drive_13(t))
     if w12 == 0 or w23 == 0 or w13 == 0:
         raise ValueError(f"loop phase undefined: an amplitude vanishes at t = {t}")
     return float(np.angle(w12 * w23 * np.conj(w13)) % (2.0 * np.pi))
@@ -192,7 +164,7 @@ def total_unitary(chirality: Chirality) -> np.ndarray:
     return _TOTAL[chirality].copy()
 
 
-def bright_state(chirality: Chirality) -> np.ndarray:
-    """State coupled to |2> during step B, (i|1> + |3>)/sqrt(2) for both
-    handednesses."""
+def bright_state() -> np.ndarray:
+    """State coupled to |2> during step B, (i|1> + |3>)/sqrt(2); the same for
+    both handednesses, since step B does not drive (1,3)."""
     return np.array([1j * _SQ2, 0.0, _SQ2])

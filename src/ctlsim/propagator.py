@@ -27,13 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ctls import (
-    Chirality,
-    CouplingSet,
-    DriveField,
-    signed_couplings,
-    zero_drive,
-)
+from .ctls import Chirality, CouplingSet, signed_couplings, zero_drive
 
 __all__ = [
     "PulseEnvelope",
@@ -247,14 +241,14 @@ def step_couplings(step: ProtocolStep) -> CouplingSet:
     sign = -1.0 if step.flip_sign else 1.0
     if step.label in ("A", "C"):
         return CouplingSet(
-            drive_12=zero_drive((1, 2)),
-            drive_23=zero_drive((2, 3)),
-            drive_13=DriveField((1, 3), rabi=lambda t: sign * envelope(t)),
+            drive_12=zero_drive(),
+            drive_23=zero_drive(),
+            drive_13=lambda t: sign * envelope(t),
         )
     return CouplingSet(
-        drive_12=DriveField((1, 2), rabi=lambda t: 1j * _SQ2 * envelope(t)),
-        drive_23=DriveField((2, 3), rabi=lambda t: _SQ2 * envelope(t)),
-        drive_13=zero_drive((1, 3)),
+        drive_12=lambda t: 1j * _SQ2 * envelope(t),
+        drive_23=lambda t: _SQ2 * envelope(t),
+        drive_13=zero_drive(),
     )
 
 
@@ -264,13 +258,13 @@ _UPPER = ((0, 1), (0, 2), (1, 2))
 
 def _drive_rows(t: float | np.ndarray, fields: CouplingSet) -> np.ndarray:
     """W12, W13, W23 at ``t``, shape (3,) + t.shape: the one place that maps
-    drives to Hamiltonian entries. A drive whose ``rabi`` returns a scalar
-    is broadcast."""
+    drives to Hamiltonian entries, in ``_UPPER`` order. A drive that returns
+    a scalar is broadcast."""
     times = np.asarray(t, dtype=float)
     rows = np.empty((3,) + times.shape, dtype=complex)
-    for field in fields.drives:
-        n, m = field.transition  # n < m, one drive per transition
-        rows[_UPPER.index((n - 1, m - 1))] = field.rabi(times)
+    rows[0] = fields.drive_12(times)
+    rows[1] = fields.drive_13(times)
+    rows[2] = fields.drive_23(times)
     return rows
 
 
@@ -279,7 +273,7 @@ def interaction_hamiltonian(t: float | np.ndarray, fields: CouplingSet) -> np.nd
 
     A scalar ``t`` gives a (3, 3) matrix; a 1-D array of n times gives the
     (n, 3, 3) stack, a view of an entry-major (3, 3, n) array. A drive
-    whose ``rabi`` returns a scalar is broadcast.
+    that returns a scalar is broadcast.
     """
     rows = _drive_rows(t, fields)
     h = np.zeros((3, 3) + rows.shape[1:], dtype=complex)

@@ -24,12 +24,20 @@ import numpy as np
 __all__ = [
     "RotationalConstants",
     "RotorLevel",
+    "J_MAX",
     "block_energies",
     "build_rotor_block",
     "level_index",
     "rotor_levels",
     "rotor_spectrum",
 ]
+
+
+# Largest J of a named level: the memory of one block. Resolving a level
+# builds its dense (2J+1) x (2J+1) block; a `populations` run peaks at about
+# 68 MB with a J = 1000 level and 373 MB with J = 3000, and J = 100000 would
+# need 298 GiB. A larger J is rejected before any block is built.
+J_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,8 @@ def level_index(j: int, tau: int) -> int:
         raise ValueError(f"J must be non-negative, got {j}")
     if not -j <= tau <= j:
         raise ValueError(f"tau must lie in [-J, J], got tau={tau} for J={j}")
+    if j > J_MAX:
+        raise ValueError(f"J must be at most {J_MAX}, got {j}")
     return tau + j
 
 

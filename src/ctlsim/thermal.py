@@ -10,9 +10,13 @@ ro-vibrational partition function including M degeneracy.
 Every exponent h*E / kB*T comes from one kernel, ``_exponents``. T = 0 is
 the exact limit T -> 0+: the exponent is 0 for E = 0 and inf for E > 0. An
 exponent above the float range is inf as well, so a positive temperature
-however small gives the same limit. Whole-manifold shares then keep only
-E = 0 levels; a loop keeps its own lowest level (``loop_populations``).
-Loop populations are one (3,) array (p1, p2, p3) per temperature.
+however small gives the same limit, and the partition sums and shares take
+T = 0 too (Z_rot(0) = 1). Whole-manifold shares then keep only E = 0
+levels; a loop keeps its own lowest level (``loop_populations``). Loop
+populations are one (3,) array (p1, p2, p3) per temperature. The same
+kernel normalizes any set of levels over that set (``_populations``): the
+excess sweep reads it for levels 1 and 3 alone where both underflow in the
+loop.
 """
 
 from __future__ import annotations
@@ -104,19 +108,18 @@ class RoVibLevel:
         return 1000.0 * self.vib_energy_thz
 
 
-def _temperature_grid(name: str, t_k: float | np.ndarray, positive: bool = False) -> np.ndarray:
+def _temperature_grid(name: str, t_k: float | np.ndarray) -> np.ndarray:
     """A float or 1-D array of temperatures in kelvin as a 1-D float array.
 
-    Every value must be finite and >= 0 (> 0 when ``positive``); the first
-    value that is not is named in the error.
+    Every value must be finite and >= 0; the first value that is not is
+    named in the error.
     """
     t = np.atleast_1d(np.asarray(t_k, dtype=float))
     if t.ndim != 1:
         raise ValueError(f"{name} must be a float or a 1-D array, got shape {t.shape}")
-    bad = ~np.isfinite(t) | (t <= 0.0 if positive else t < 0.0)
+    bad = ~np.isfinite(t) | (t < 0.0)
     if bad.any():
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name} must be finite and {bound}, got {t[bad][0]}")
+        raise ValueError(f"{name} must be finite and >= 0, got {t[bad][0]}")
     return t
 
 
@@ -170,6 +173,14 @@ def loop_populations(
     other one stays thermal within that set.
     """
     check_loop_levels(levels)
+    return _populations(levels, t_rot_k, t_vib_k)
+
+
+def _populations(
+    levels: Sequence[RoVibLevel], t_rot_k: float | np.ndarray, t_vib_k: float
+) -> np.ndarray:
+    """``loop_populations`` of any set of levels, normalized over that set:
+    shape (N, len(levels)), frozen limits taken within the set."""
     t_rot = _temperature_grid("t_rot_k", t_rot_k)
     vib = np.array([lv.vib_energy_ghz for lv in levels])
     rot = np.array([lv.rot.energy_ghz for lv in levels])
@@ -179,7 +190,7 @@ def loop_populations(
     x[~hot] = 0.0
     if np.isfinite(x_vib).all():
         x += x_vib
-        allowed_hot, allowed_cold = np.ones(3, bool), _ground(rot)
+        allowed_hot, allowed_cold = np.ones(len(levels), bool), _ground(rot)
     else:
         allowed_hot, allowed_cold = _ground(vib), _ground(vib + rot)
     x = np.where(np.where(hot[:, None], allowed_hot, allowed_cold), x, np.inf)
@@ -202,7 +213,7 @@ def rotational_partition(
     accumulates blocks until a whole block contributes less than rel_tol
     times its running sum.
     """
-    t = _temperature_grid("t_rot_k", t_rot_k, positive=True)
+    t = _temperature_grid("t_rot_k", t_rot_k)
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     total = np.zeros(len(t))
@@ -257,7 +268,7 @@ def global_proportion(
     level energies do not depend on the vibrational state; each factor is
     computed once for the grid.
     """
-    t_rot = _temperature_grid("t_rot_k", t_rot_k, positive=True)
+    t_rot = _temperature_grid("t_rot_k", t_rot_k)
     z_rot = rotational_partition(constants, t_rot)
     z_vib = vibrational_partition(modes, t_vib_k)
     p_vib = np.exp(-_exponents([lv.vib_energy_ghz for lv in levels], t_vib_k))

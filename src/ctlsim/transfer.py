@@ -20,6 +20,7 @@ from .thermal import (
     RoVibLevel,
     Temperatures,
     VibrationalMode,
+    _populations,
     check_loop_levels,
     ctls_populations,
     global_proportion,
@@ -201,8 +202,19 @@ def default_sweep_grid(
 def excess_sweep(
     config: CtlsConfig, t_rot_values: Sequence[float], t_vib_k: float = 300.0
 ) -> np.ndarray:
-    """Enantiomeric excess at each rotational temperature, in input order."""
-    return enantiomeric_excess(loop_populations(config.levels, t_rot_values, t_vib_k))
+    """Enantiomeric excess at each rotational temperature, in input order.
+
+    A row where levels 1 and 3 both underflow to 0 (level 2 far below them)
+    takes the limit of the excess instead: the populations of levels 1 and
+    3 alone, normalized over the pair, whose frozen limit keeps the pair's
+    own lowest level.
+    """
+    populations = loop_populations(config.levels, t_rot_values, t_vib_k)
+    empty = populations[:, 0] + populations[:, 2] == 0.0
+    if empty.any():
+        pair = _populations(config.levels[::2], t_rot_values, t_vib_k)
+        populations[empty, ::2] = pair[empty]
+    return enantiomeric_excess(populations)
 
 
 def population_sweep(

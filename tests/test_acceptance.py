@@ -180,7 +180,7 @@ def test_criterion_8_property_suite():
                 failures.append(f"shape dependence {defect} ({shape}, {chirality})")
 
     # second-order convergence on smooth envelopes
-    from ctlsim.ctls import CouplingSet, DriveField, zero_drive
+    from ctlsim.ctls import CouplingSet, zero_drive
     from ctlsim.propagator import PulseEnvelope, TimeGrid, propagate, pulse_area
 
     env_a = PulseEnvelope(
@@ -192,9 +192,9 @@ def test_criterion_8_property_suite():
     )
     env_b = PulseEnvelope("sin_squared", peak=0.8 / (0.5e-7), t_start=0.0, t_end=1e-7)
     fields = CouplingSet(
-        drive_12=DriveField((1, 2), rabi=env_a.__call__),
-        drive_23=DriveField((2, 3), rabi=env_b.__call__),
-        drive_13=zero_drive((1, 3)),
+        drive_12=env_a,
+        drive_23=env_b,
+        drive_13=zero_drive(),
     )
     reference_u = propagate(fields, (0.0, 1e-7), TimeGrid(16384))
     defects = [

@@ -41,6 +41,41 @@ TINY_T_ROT = (
 )
 
 
+BUNDLED_LOOP = """    - {vib: 0, J: 0, tau: 0, M: 0}
+    - {vib: 1, J: 1, tau: 0, M: 1}
+    - {vib: 1, J: 1, tau: 1, M: 0}"""
+
+# the bundled scenario down to 1e-6 K with |2> the loop's lowest rotational
+# level: at the coldest points both |1> and |3> underflow to 0
+LEVEL_2_LOWEST = {
+    "purely-rotational": (
+        "mode: purely_rotational",
+        """    - {vib: 0, J: 1, tau: -1, M: 0}
+    - {vib: 0, J: 0, tau: 0, M: 0}
+    - {vib: 0, J: 1, tau: 0, M: 0}""",
+    ),
+    "ro-vibrational": (
+        "mode: ro_vibrational",
+        """    - {vib: 0, J: 1, tau: 1, M: 0}
+    - {vib: 1, J: 0, tau: 0, M: 0}
+    - {vib: 1, J: 1, tau: 1, M: 0}""",
+    ),
+}
+
+
+def level_2_lowest_scenario(tmp_path, loop: str) -> str:
+    mode, levels = LEVEL_2_LOWEST[loop]
+    text = (
+        bundled_scenario_path().read_text(encoding="utf-8")
+        .replace("mode: ro_vibrational", mode)
+        .replace(BUNDLED_LOOP, levels)
+        .replace("t_rot_min_k: 0.001", "t_rot_min_k: 1.0e-6")
+    )
+    assert levels in text and "t_rot_min_k: 1.0e-6" in text
+    path = tmp_path / f"{loop}.scenario"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
 @pytest.fixture
 def scenario_path(tmp_path):
     path = tmp_path / "small.scenario"
@@ -313,6 +348,11 @@ class TestScenarioHandling:
         assert out == ""
         assert f"argument {argv[1]}: must be at least" in err
 
+    def test_jmax_beyond_the_level_bound_exit_64(self, capsys, scenario_path):
+        code, out, err = run_cli(capsys, "levels", "--jmax", "1001", "--scenario", scenario_path)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "argument --jmax: must be at most 1000, got 1001" in err
+
     def test_negative_zero_temperature_reads_as_zero(self, capsys, tmp_path):
         path = tmp_path / "zero.scenario"
         path.write_text(
@@ -400,6 +440,51 @@ class TestScenarioHandling:
                 env=env, capture_output=True, text=True, timeout=60,
             )
             assert (result.returncode, result.stderr) == (EXIT_OK, ""), command
+
+    @pytest.mark.parametrize("loop", list(LEVEL_2_LOWEST))
+    def test_excess_takes_its_limit_where_levels_1_and_3_underflow(self, capsys, tmp_path, loop):
+        path = level_2_lowest_scenario(tmp_path, loop)
+        code, out, err = run_cli(capsys, "excess", "--scenario", path)
+        assert (code, err) == (EXIT_OK, "")
+        rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        assert rows[0, 0] == 1e-6
+        assert ((0.0 <= rows[:, 1]) & (rows[:, 1] <= 1.0)).all()
+        if loop == "purely-rotational":
+            # |1_-1> lies below |1_0>: the cold excess is 1
+            assert rows[0, 1] == 1.0
+        else:
+            # |1> and |3> tie in rotational energy, so T_vib alone splits them
+            assert rows[0, 1] == pytest.approx(0.999999806, abs=1e-9)
+
+    def test_fig3_on_a_level_2_lowest_loop(self, capsys, tmp_path):
+        path = level_2_lowest_scenario(tmp_path, "purely-rotational")
+        code, out, err = run_cli(capsys, "figure", "fig3", "--scenario", path)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[1] == "1.00000000e-06,1.00000000e+00,1.00000000e+00"
+        # the ro-vibrational loop made purely rotational repeats J = 1, tau = 1
+        path = level_2_lowest_scenario(tmp_path, "ro-vibrational")
+        code, out, err = run_cli(capsys, "figure", "fig3", "--scenario", path)
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert "ctls.levels: the three levels must be distinct" in err
+
+    @pytest.mark.parametrize("j", [1001, 100000])
+    def test_level_j_beyond_the_bound_exit_3(self, capsys, tmp_path, j):
+        path = tmp_path / "big-j.scenario"
+        level = f"{{vib: 1, J: {j}, tau: 1, M: 0}}"
+        path.write_text(SMALL_SWEEP.replace("{vib: 1, J: 1, tau: 1, M: 0}", level), encoding="utf-8")
+        code, out, err = run_cli(capsys, "levels", "--scenario", str(path))
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert f"ctls.levels[2]: J must be at most 1000, got {j}" in err
+
+    def test_level_j_at_the_bound_parses(self, capsys, tmp_path):
+        path = tmp_path / "j-1000.scenario"
+        path.write_text(
+            SMALL_SWEEP.replace("{vib: 1, J: 1, tau: 1, M: 0}", "{vib: 1, J: 1000, tau: 1, M: 0}"),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "populations", "--scenario", str(path), "--dump-config")
+        assert (code, err) == (EXIT_OK, "")
+        assert "J: 1000" in out
 
     def test_dump_config_round_trips(self, capsys, scenario_path, tmp_path):
         code, out, _ = run_cli(

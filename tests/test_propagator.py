@@ -12,7 +12,6 @@ from scipy.linalg import expm
 from ctlsim.ctls import (
     Chirality,
     CouplingSet,
-    DriveField,
     analytic_step_unitary,
     bright_state,
     constant_drive,
@@ -56,17 +55,17 @@ def envelope(shape: str, area: float, duration: float = 1e-7) -> PulseEnvelope:
 
 def drive_13_only(env: PulseEnvelope, sign: float = 1.0) -> CouplingSet:
     return CouplingSet(
-        drive_12=zero_drive((1, 2)),
-        drive_23=zero_drive((2, 3)),
-        drive_13=DriveField((1, 3), rabi=lambda t: sign * env(t)),
+        drive_12=zero_drive(),
+        drive_23=zero_drive(),
+        drive_13=lambda t: sign * env(t),
     )
 
 
 def constant_12(amp: float) -> CouplingSet:
     return CouplingSet(
-        drive_12=constant_drive((1, 2), amp),
-        drive_23=zero_drive((2, 3)),
-        drive_13=zero_drive((1, 3)),
+        drive_12=constant_drive(amp),
+        drive_23=zero_drive(),
+        drive_13=zero_drive(),
     )
 
 
@@ -75,9 +74,9 @@ def noncommuting_detuned_fields() -> CouplingSet:
     env_a = envelope("gaussian", 1.1)
     env_b = envelope("sin_squared", 0.8)
     return CouplingSet(
-        drive_12=DriveField((1, 2), rabi=lambda t: env_a(t) * np.exp(1j * 3e7 * t)),
-        drive_23=DriveField((2, 3), rabi=lambda t: 1j * env_b(t)),
-        drive_13=DriveField((1, 3), rabi=lambda t: (2e6 - 1e6j) * np.exp(-1j * 5e7 * t)),
+        drive_12=lambda t: env_a(t) * np.exp(1j * 3e7 * t),
+        drive_23=lambda t: 1j * env_b(t),
+        drive_13=lambda t: (2e6 - 1e6j) * np.exp(-1j * 5e7 * t),
     )
 
 
@@ -196,7 +195,7 @@ class TestInteractionHamiltonian:
         assert np.abs(h - expected).max() < 1e-15
 
     def test_all_zero(self):
-        fields = CouplingSet(zero_drive((1, 2)), zero_drive((2, 3)), zero_drive((1, 3)))
+        fields = CouplingSet(zero_drive(), zero_drive(), zero_drive())
         assert np.abs(interaction_hamiltonian(0.0, fields)).max() == 0.0
 
     def test_step_b_bright_state_form(self):
@@ -204,16 +203,16 @@ class TestInteractionHamiltonian:
         env = PulseEnvelope("rectangular", peak=1.3, t_start=0.0, t_end=1.0)
         step = ProtocolStep(label="B", envelope=env)
         h = interaction_hamiltonian(0.5, step_couplings(step))
-        d = bright_state(Chirality.L)
+        d = bright_state()
         e2 = np.array([0.0, 1.0, 0.0])
         expected = 1.3 * (np.outer(d, e2.conj()) + np.outer(e2, d.conj()))
         assert np.abs(h - expected).max() < 1e-14
 
     def test_hermitian_with_detuning(self):
         fields = CouplingSet(
-            drive_12=DriveField((1, 2), rabi=lambda t: (0.3 + 0.2j) * np.exp(1j * 2.0 * t)),
-            drive_23=zero_drive((2, 3)),
-            drive_13=zero_drive((1, 3)),
+            drive_12=lambda t: (0.3 + 0.2j) * np.exp(1j * 2.0 * t),
+            drive_23=zero_drive(),
+            drive_13=zero_drive(),
         )
         h = interaction_hamiltonian(0.7, fields)
         assert np.abs(h - h.conj().T).max() < 1e-15
@@ -239,16 +238,16 @@ class TestInteractionHamiltonian:
     @pytest.mark.parametrize("t", [0.5e-7, np.linspace(-1e-8, 1.1e-7, 37)], ids=["scalar", "array"])
     def test_expands_the_drive_rows(self, t):
         # rows above the diagonal, their conjugates below, zeros on it; the
-        # (1,2) drive is a constant_drive, whose rabi returns a scalar
+        # (1,2) drive is a constant_drive, which returns a scalar
         base = noncommuting_detuned_fields()
-        fields = replace(base, drive_12=constant_drive((1, 2), 0.3 - 0.2j))
+        fields = replace(base, drive_12=constant_drive(0.3 - 0.2j))
         rows = _drive_rows(t, fields)
         h = interaction_hamiltonian(t, fields)
         assert rows.shape == (3,) + np.shape(t)
         assert h.shape == np.shape(t) + (3, 3)
         assert (rows[0] == 0.3 - 0.2j).all()
-        assert (rows[1] == base.drive_13.rabi(np.asarray(t))).all()
-        assert (rows[2] == base.drive_23.rabi(np.asarray(t))).all()
+        assert (rows[1] == base.drive_13(np.asarray(t))).all()
+        assert (rows[2] == base.drive_23(np.asarray(t))).all()
         for row, (i, j) in zip(rows, ((0, 1), (0, 2), (1, 2))):
             assert (h[..., i, j] == row).all()
             assert (h[..., j, i] == row.conj()).all()
@@ -269,7 +268,7 @@ class TestOrderedProduct:
 
 class TestPropagate:
     def test_zero_hamiltonian_gives_identity(self):
-        fields = CouplingSet(zero_drive((1, 2)), zero_drive((2, 3)), zero_drive((1, 3)))
+        fields = CouplingSet(zero_drive(), zero_drive(), zero_drive())
         u = propagate(fields, (0.0, 1.0), TimeGrid(10))
         assert np.abs(u - np.eye(3)).max() < 1e-15
 
@@ -317,9 +316,9 @@ class TestPropagate:
         env_a = envelope("gaussian", 1.1, duration=1e-7)
         env_b = envelope("sin_squared", 0.8, duration=1e-7)
         fields = CouplingSet(
-            drive_12=DriveField((1, 2), rabi=lambda t: env_a(t)),
-            drive_23=DriveField((2, 3), rabi=lambda t: env_b(t)),
-            drive_13=zero_drive((1, 3)),
+            drive_12=env_a,
+            drive_23=env_b,
+            drive_13=zero_drive(),
         )
         window = (0.0, 1e-7)
         reference = propagate(fields, window, TimeGrid(16384))
@@ -339,9 +338,9 @@ class TestPropagate:
 
     def test_nonfinite_error_names_first_bad_time(self):
         fields = CouplingSet(
-            drive_12=DriveField((1, 2), rabi=lambda t: np.where(t > 0.75, np.nan, 1.0)),
-            drive_23=zero_drive((2, 3)),
-            drive_13=zero_drive((1, 3)),
+            drive_12=lambda t: np.where(t > 0.75, np.nan, 1.0),
+            drive_23=zero_drive(),
+            drive_13=zero_drive(),
         )
         steps = 2 * _CHUNK + 8  # the first bad midpoint lies in the second chunk
         dt = 1.0 / steps
@@ -353,9 +352,9 @@ class TestPropagate:
 
     def test_nonfinite_amplitude_raises(self):
         fields = CouplingSet(
-            drive_12=constant_drive((1, 2), np.nan),
-            drive_23=zero_drive((2, 3)),
-            drive_13=zero_drive((1, 3)),
+            drive_12=constant_drive(np.nan),
+            drive_23=zero_drive(),
+            drive_13=zero_drive(),
         )
         with pytest.raises(ArithmeticError):
             propagate(fields, (0.0, 1.0), TimeGrid(4))
@@ -437,8 +436,8 @@ def test_step_b_pointwise_amplitude_relation():
     step = schedule.step_b
     fields = step_couplings(step)
     for t in np.linspace(step.window[0], step.window[1], 9):
-        w12 = fields.drive_12.rabi(t)
-        w23 = fields.drive_23.rabi(t)
+        w12 = fields.drive_12(t)
+        w23 = fields.drive_23(t)
         assert w23 == abs(w23)
         assert -1j * w12 == pytest.approx(w23, abs=1e-15)
         assert w23 == pytest.approx(step.envelope(t) / np.sqrt(2.0), abs=1e-15)

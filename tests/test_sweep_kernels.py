@@ -13,13 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctlsim.rotor import RotationalConstants, block_energies
+from ctlsim.rotor import RotationalConstants, RotorLevel, block_energies
 from ctlsim.thermal import (
     K_PER_GHZ,
     ConvergenceError,
+    RoVibLevel,
     Temperatures,
     VibrationalMode,
+    _populations,
     ctls_populations,
+    loop_populations,
     rotational_partition,
     vibrational_partition,
 )
@@ -28,6 +31,7 @@ from ctlsim.transfer import (
     PURELY_ROTATIONAL,
     RO_VIBRATIONAL,
     CtlsConfig,
+    enantiomeric_excess,
     excess_sweep,
     make_level,
     population_sweep,
@@ -199,7 +203,8 @@ def test_convergence_error_names_first_unconverged_temperature(grid):
 @given(GRID_WITH_ZERO, T_VIB)
 @settings(deadline=None, max_examples=20)
 def test_excess_undefined_on_any_row_raises(grid, t_vib):
-    # |1> and |3> lie above |2> = |0_00>, so a frozen rotation empties both
+    # |1> and |3> lie above |2> = |0_00>, so a frozen rotation empties both:
+    # the excess of such a row raises, and the sweep takes its limit instead
     modes = (OH_STRETCH,)
     levels = (
         make_level(PROPANEDIOL, modes, 0, 1, 0, 0),
@@ -208,7 +213,52 @@ def test_excess_undefined_on_any_row_raises(grid, t_vib):
     )
     config = CtlsConfig(PURELY_ROTATIONAL, PROPANEDIOL, modes, levels)
     with pytest.raises(ValueError, match="excess undefined: levels 1 and 3 are both unoccupied"):
-        excess_sweep(config, grid, t_vib)
+        enantiomeric_excess(population_sweep(config, grid, t_vib))
+    excess = excess_sweep(config, grid, t_vib)
+    assert np.isfinite(excess).all()
+    assert ((0.0 <= excess) & (excess <= 1.0)).all()
+    # J = 1, tau = 0 lies below J = 1, tau = 1: the frozen pair keeps |1> alone
+    assert (excess[np.array(grid) == 0.0] == 1.0).all()
+
+
+@st.composite
+def level_2_lowest(draw):
+    """Three levels, |2> lowest in rotational energy, and a T_rot at which
+    p1 + p3 = exp(-gap) or so: small, but a normal float."""
+    t_vib = draw(st.floats(1.0, 1000.0))
+    rot_2 = draw(st.floats(0.0, 100.0))
+    gap_1, gap_3 = draw(
+        st.lists(st.floats(1e-2, 1e3), min_size=2, max_size=2).filter(
+            lambda g: abs(g[0] - g[1]) >= 1e-2 * max(g)
+        )
+    )
+    gap = draw(st.floats(10.0, 600.0))
+    t_rot = min(gap_1, gap_3) * K_PER_GHZ / gap
+    # level 1 in the vibrational ground state; 2 and 3 excited or not, with
+    # vibrational exponents up to 5 at T_vib
+    x_vib = draw(
+        st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)))
+    )
+    levels = tuple(
+        RoVibLevel(int(x > 0.0), x * t_vib / K_PER_GHZ / 1000.0, RotorLevel(j, 0, rot))
+        for j, (x, rot) in enumerate(
+            zip((0.0, *x_vib), (rot_2 + gap_1, rot_2, rot_2 + gap_3))
+        )
+    )
+    return levels, t_rot, t_vib
+
+
+@given(level_2_lowest())
+@settings(deadline=None, max_examples=200)
+def test_pair_excess_matches_loop_excess(drawn):
+    # the sweep's limit on empty rows is the excess of levels 1 and 3 alone;
+    # where the loop formula still has p1 + p3 > 0 the two must agree
+    levels, t_rot, t_vib = drawn
+    ((p1, _, p3),) = loop_populations(levels, t_rot, t_vib)
+    assert 0.0 < p1 + p3 < 1e-2
+    ((q1, q3),) = _populations(levels[::2], t_rot, t_vib)
+    loop, pair = abs(p3 - p1) / (p3 + p1), abs(q3 - q1)
+    assert abs(pair - loop) <= 1e-12 * loop
 
 
 @pytest.mark.parametrize("sweep", [population_sweep, excess_sweep, yield_sweep])
@@ -222,9 +272,13 @@ def test_sweeps_reject_bad_temperatures(rovib_config, sweep, grid, t_vib):
         sweep(rovib_config, grid, t_vib)
 
 
-def test_yield_sweep_rejects_zero_rotational_temperature(rovib_config):
-    with pytest.raises(ValueError, match="t_rot_k must be finite and > 0"):
-        yield_sweep(rovib_config, [1.0, 0.0], 300.0)
+def test_yield_sweep_at_zero_rotational_temperature_is_the_cold_limit(rovib_config):
+    # T_rot = 0 keeps only the J = 0 level, as a T_rot whose exponents all
+    # overflow does; Z_rot(0) is the J = 0 term alone
+    rows = yield_sweep(rovib_config, [0.0, 1e-310, 1.0], 300.0)
+    assert (rows[0] == rows[1]).all()
+    assert rows[0, 0] > 0.0 and (rows[0, 1:3] == 0.0).all()
+    assert rotational_partition(PROPANEDIOL, 0.0) == 1.0
 
 
 def test_overflowing_rotational_temperature_gives_the_cold_limit():

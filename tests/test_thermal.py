@@ -195,6 +195,12 @@ class TestRotationalPartition:
     def test_low_temperature_limit(self, propanediol):
         assert rotational_partition(propanediol, 0.001) == pytest.approx(1.0, abs=1e-12)
 
+    def test_zero_temperature_is_the_ground_term(self, propanediol):
+        # T = 0 is the limit T -> 0+: only the J = 0 term, exactly 1, as at a
+        # temperature whose exponents all overflow
+        assert rotational_partition(propanediol, 0.0) == 1.0
+        assert (rotational_partition(propanediol, np.array([0.0, 1e-310])) == 1.0).all()
+
     def test_against_plain_summation(self, propanediol):
         # oracle: untruncated degeneracy-weighted sum over J <= 40
         z_direct = 0.0
@@ -229,7 +235,7 @@ class TestRotationalPartition:
             tight = rotational_partition(propanediol, t, rel_tol=1e-7)
             assert abs(loose - tight) / tight < 1e-5
 
-    @pytest.mark.parametrize("bad", [0.0, -3.0])
+    @pytest.mark.parametrize("bad", [-3.0, np.nan])
     def test_bad_temperature_rejected(self, propanediol, bad):
         with pytest.raises(ValueError):
             rotational_partition(propanediol, bad)

@@ -7,6 +7,13 @@ polynomial in it (Cayley-Hamilton), so no eigendecomposition is needed.
 Resonant single-transition steps depend only on the pulse area, not the
 envelope shape.
 
+A protocol step is its envelope: a real pulse over its window whose signed
+peak carries the pi phase flip of a negative area, and whose
+``PulseSchedule`` slot says which transitions it drives (``step_couplings``).
+The area is peak * duration times a constant per shape (``_SHAPES``): 1
+rectangular, 1/2 sin^2, sqrt(2 pi)/8 erf(2 sqrt 2) for the gaussian, which
+is centred in its window with sigma = duration/8.
+
 The Hamiltonian has a zero diagonal and is Hermitian, so its three upper
 entries W12, W13, W23 fix it. ``propagate`` evaluates only those, as the
 three drive rows of one (3, n) array per chunk (``_drive_rows``), and the
@@ -32,7 +39,6 @@ from .ctls import Chirality, CouplingSet, signed_couplings, zero_drive
 __all__ = [
     "PulseEnvelope",
     "TimeGrid",
-    "ProtocolStep",
     "PulseSchedule",
     "ScheduleError",
     "DEFAULT_PEAK_RAD_S",
@@ -45,7 +51,13 @@ __all__ = [
     "apply_to_density",
 ]
 
-_SHAPES = ("rectangular", "gaussian", "sin_squared")
+# Area of a unit-peak envelope per unit of its duration. The gaussian's
+# window spans 4 sigma either side of its centre.
+_SHAPES = {
+    "rectangular": 1.0,
+    "gaussian": math.sqrt(2.0 * math.pi) / 8.0 * math.erf(2.0 * math.sqrt(2.0)),
+    "sin_squared": 0.5,
+}
 _SQ2 = 1.0 / math.sqrt(2.0)
 _AREA_TOL = 1e-8  # radians
 _CHUNK = 1024  # midpoints per Hamiltonian stack in propagate; bounds its memory
@@ -59,37 +71,29 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class PulseEnvelope:
-    """Non-negative real envelope, zero outside [t_start, t_end].
+    """Real envelope, zero outside [t_start, t_end]; a negative ``peak``
+    flips the pulse's phase by pi.
 
-    The gaussian form is truncated at the window edges; ``center`` and
-    ``width`` apply to it only.
+    The gaussian is centred in the window with sigma = duration/8 and is
+    truncated at the window edges.
     """
 
     shape: str
     peak: float  # rad/s
     t_start: float
     t_end: float
-    center: float | None = None
-    width: float | None = None
 
     def __post_init__(self) -> None:
         if self.shape not in _SHAPES:
-            raise ValueError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
-        if not np.isfinite(self.peak) or self.peak < 0.0:
-            raise ValueError(f"peak must be finite and >= 0, got {self.peak}")
-        for name in ("t_start", "t_end", "center", "width"):
+            raise ValueError(f"shape must be one of {tuple(_SHAPES)}, got {self.shape!r}")
+        for name in ("peak", "t_start", "t_end"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
+            if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.t_end > self.t_start:
             raise ValueError(
                 f"window must satisfy t_end > t_start, got [{self.t_start}, {self.t_end}]"
             )
-        if self.shape == "gaussian":
-            if self.center is None or self.width is None:
-                raise ValueError("gaussian envelope requires center and width")
-            if self.width <= 0.0:
-                raise ValueError(f"gaussian width must be > 0, got {self.width}")
 
     def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
         """Envelope at time ``t``: a float for a scalar, an array of the
@@ -98,9 +102,11 @@ class PulseEnvelope:
         if self.shape == "rectangular":
             values = np.full(times.shape, self.peak)
         elif self.shape == "gaussian":
-            values = self.peak * np.exp(-((times - self.center) ** 2) / (2.0 * self.width**2))
+            center = 0.5 * (self.t_start + self.t_end)
+            width = self.duration / 8.0
+            values = self.peak * np.exp(-((times - center) ** 2) / (2.0 * width**2))
         else:
-            phase = np.pi * (times - self.t_start) / (self.t_end - self.t_start)
+            phase = np.pi * (times - self.t_start) / self.duration
             values = self.peak * np.sin(phase) ** 2
         values = np.where((self.t_start <= times) & (times <= self.t_end), values, 0.0)
         return values if values.ndim else float(values)
@@ -111,22 +117,8 @@ class PulseEnvelope:
 
 
 def pulse_area(envelope: PulseEnvelope) -> float:
-    """Time integral of the envelope over its window, in radians (closed form)."""
-    if envelope.shape == "rectangular":
-        return envelope.peak * envelope.duration
-    if envelope.shape == "sin_squared":
-        return 0.5 * envelope.peak * envelope.duration
-    # truncated gaussian, any center: peak * w * sqrt(pi/2) * [erf]_{t_start}^{t_end}
-    scale = math.sqrt(2.0) * envelope.width
-    return (
-        envelope.peak
-        * envelope.width
-        * math.sqrt(0.5 * math.pi)
-        * (
-            math.erf((envelope.t_end - envelope.center) / scale)
-            - math.erf((envelope.t_start - envelope.center) / scale)
-        )
-    )
+    """Signed time integral of the envelope over its window, in radians."""
+    return envelope.peak * envelope.duration * _SHAPES[envelope.shape]
 
 
 @dataclass(frozen=True)
@@ -141,73 +133,23 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class ProtocolStep:
-    """One protocol step: its master envelope and the sign of its drive.
-
-    Step A and C drive the (1,3) transition directly; step B splits the
-    envelope over (1,2) and (2,3) with fixed complex prefactors i/sqrt(2)
-    and 1/sqrt(2). ``flip_sign`` realizes a negative target area as a pi
-    phase flip over a positive-duration pulse.
-    """
-
-    label: str
-    envelope: PulseEnvelope
-    flip_sign: bool = False
-
-    def __post_init__(self) -> None:
-        if self.label not in ("A", "B", "C"):
-            raise ValueError(f"label must be 'A', 'B' or 'C', got {self.label!r}")
-
-    @property
-    def signed_area(self) -> float:
-        area = pulse_area(self.envelope)
-        return -area if self.flip_sign else area
-
-    @property
-    def window(self) -> tuple[float, float]:
-        return (self.envelope.t_start, self.envelope.t_end)
-
-
-@dataclass(frozen=True)
 class PulseSchedule:
-    """The three time-ordered, disjoint protocol steps."""
+    """The envelopes of the three time-ordered, disjoint protocol steps."""
 
-    step_a: ProtocolStep
-    step_b: ProtocolStep
-    step_c: ProtocolStep
+    step_a: PulseEnvelope
+    step_b: PulseEnvelope
+    step_c: PulseEnvelope
 
     def __post_init__(self) -> None:
-        labels = (self.step_a.label, self.step_b.label, self.step_c.label)
-        if labels != ("A", "B", "C"):
-            raise ValueError(f"steps must be labeled ('A', 'B', 'C'), got {labels}")
         previous_end = -math.inf
-        for step in self.steps:
-            if step.envelope.t_start < previous_end:
+        for envelope in self.steps:
+            if envelope.t_start < previous_end:
                 raise ValueError("protocol steps must be time-disjoint and ordered")
-            previous_end = step.envelope.t_end
+            previous_end = envelope.t_end
 
     @property
-    def steps(self) -> tuple[ProtocolStep, ProtocolStep, ProtocolStep]:
+    def steps(self) -> tuple[PulseEnvelope, PulseEnvelope, PulseEnvelope]:
         return (self.step_a, self.step_b, self.step_c)
-
-
-def _nominal_window(shape: str, target_area: float, peak: float) -> float:
-    if shape == "rectangular":
-        return target_area / peak
-    # Shaped pulses spread the same area over twice the rectangular window.
-    return 2.0 * target_area / peak
-
-
-def _scaled_envelope(
-    shape: str, target_area: float, peak: float, t_start: float
-) -> PulseEnvelope:
-    duration = _nominal_window(shape, target_area, peak)
-    t_end = t_start + duration
-    kwargs = {}
-    if shape == "gaussian":
-        kwargs = {"center": 0.5 * (t_start + t_end), "width": duration / 8.0}
-    unit = PulseEnvelope(shape=shape, peak=1.0, t_start=t_start, t_end=t_end, **kwargs)
-    return replace(unit, peak=target_area / pulse_area(unit))
 
 
 def ideal_schedule(
@@ -222,33 +164,35 @@ def ideal_schedule(
     ``step_c_area`` accepts any equivalent choice (k + 3/4)*pi. All results
     depend only on the areas, so ``peak`` merely sets the time scale.
     """
-    if peak <= 0.0:
-        raise ValueError(f"peak must be > 0, got {peak}")
-    if gap < 0.0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
-    steps = []
+    if not 0.0 < peak < math.inf:
+        raise ValueError(f"peak must be finite and > 0, got {peak}")
+    if not 0.0 <= gap < math.inf:
+        raise ValueError(f"gap must be finite and >= 0, got {gap}")
+    if not (math.isfinite(step_c_area) and step_c_area != 0.0):
+        raise ValueError(f"step_c_area must be finite and nonzero, got {step_c_area}")
+    envelopes = []
     t = t_start
-    for label, area in zip("ABC", (np.pi / 4.0, np.pi / 2.0, step_c_area)):
-        envelope = _scaled_envelope(shape, abs(area), peak, t)
-        steps.append(ProtocolStep(label=label, envelope=envelope, flip_sign=area < 0.0))
-        t = envelope.t_end + gap
-    return PulseSchedule(*steps)
+    for area in (np.pi / 4.0, np.pi / 2.0, step_c_area):
+        # shaped pulses spread the area over twice the rectangular window
+        duration = abs(area) / peak * (1.0 if shape == "rectangular" else 2.0)
+        unit = PulseEnvelope(shape, 1.0, t, t + duration)
+        envelopes.append(replace(unit, peak=area / pulse_area(unit)))
+        t = unit.t_end + gap
+    return PulseSchedule(*envelopes)
 
 
-def step_couplings(step: ProtocolStep) -> CouplingSet:
-    """Base (chirality-free) drives active during one protocol step."""
-    envelope = step.envelope
-    sign = -1.0 if step.flip_sign else 1.0
-    if step.label in ("A", "C"):
-        return CouplingSet(
-            drive_12=zero_drive(),
-            drive_23=zero_drive(),
-            drive_13=lambda t: sign * envelope(t),
-        )
-    return CouplingSet(
-        drive_12=lambda t: 1j * _SQ2 * envelope(t),
-        drive_23=lambda t: _SQ2 * envelope(t),
-        drive_13=zero_drive(),
+def step_couplings(schedule: PulseSchedule) -> tuple[CouplingSet, CouplingSet, CouplingSet]:
+    """Base (chirality-free) drives of steps A, B and C, in order: A and C
+    drive (1,3) with their envelope, B splits its envelope over (1,2) and
+    (2,3) with the fixed prefactors i/sqrt(2) and 1/sqrt(2)."""
+    a, b, c = schedule.steps
+    zero = zero_drive()
+    return (
+        CouplingSet(drive_12=zero, drive_23=zero, drive_13=a),
+        CouplingSet(
+            drive_12=lambda t: 1j * _SQ2 * b(t), drive_23=lambda t: _SQ2 * b(t), drive_13=zero
+        ),
+        CouplingSet(drive_12=zero, drive_23=zero, drive_13=c),
     )
 
 
@@ -410,18 +354,17 @@ def propagate(
 
 def _check_areas(schedule: PulseSchedule) -> None:
     # each test is written as "not within tolerance", so a NaN area fails it
-    area_a = schedule.step_a.signed_area
+    area_a = pulse_area(schedule.step_a)
     if not abs(area_a - np.pi / 4.0) <= _AREA_TOL:
         raise ScheduleError(f"step A area must be pi/4, got {area_a}")
-    area_b = schedule.step_b.signed_area
+    area_b = pulse_area(schedule.step_b)
     if not abs(area_b - np.pi / 2.0) <= _AREA_TOL:
         raise ScheduleError(f"step B area must be pi/2, got {area_b}")
     # Step C admits -pi/4 or any (k + 3/4)*pi: congruent to 3*pi/4 mod pi.
-    residue = (schedule.step_c.signed_area - 0.75 * np.pi) % np.pi
+    area_c = pulse_area(schedule.step_c)
+    residue = (area_c - 0.75 * np.pi) % np.pi
     if not min(residue, np.pi - residue) <= _AREA_TOL:
-        raise ScheduleError(
-            f"step C area must equal (k + 3/4)*pi, got {schedule.step_c.signed_area}"
-        )
+        raise ScheduleError(f"step C area must equal (k + 3/4)*pi, got {area_c}")
 
 
 @lru_cache(maxsize=128)
@@ -429,9 +372,10 @@ def _protocol_unitary(
     schedule: PulseSchedule, chirality: Chirality, steps: int
 ) -> np.ndarray:
     u = np.eye(3, dtype=complex)
-    for step in schedule.steps:
-        fields = signed_couplings(step_couplings(step), chirality)
-        u = propagate(fields, step.window, TimeGrid(steps)) @ u
+    for envelope, couplings in zip(schedule.steps, step_couplings(schedule)):
+        fields = signed_couplings(couplings, chirality)
+        window = (envelope.t_start, envelope.t_end)
+        u = propagate(fields, window, TimeGrid(steps)) @ u
     return u
 
 

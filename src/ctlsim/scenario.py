@@ -293,7 +293,9 @@ def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfi
 
     This is the one place where a loop rule's ``ValueError`` becomes a
     ``ScenarioError``: ``ctls.levels[i]`` names a bad level and
-    ``ctls.levels`` a bad combination of levels. An unknown ``mode``
+    ``ctls.levels`` a bad combination of levels; under an overriding
+    ``mode`` its message names the loop that failed, since the scenario's
+    own loop passed at parse time. An unknown ``mode``
     argument is the caller's error, not the scenario's, so it raises a
     plain ``ValueError``.
     """
@@ -324,14 +326,13 @@ def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfi
         )
         for i, entry in enumerate(entries)
     ]
-    return _checked(
-        "ctls.levels",
-        CtlsConfig,
-        target_mode,
-        scenario.constants,
-        scenario.vibrational_modes,
-        tuple(levels),
-    )
+    try:
+        return CtlsConfig(target_mode, scenario.constants, scenario.vibrational_modes, tuple(levels))
+    except ValueError as exc:
+        message = str(exc)
+        if target_mode != scenario.mode:
+            message += f" in the {target_mode} loop this command builds"
+        raise ScenarioError("ctls.levels", message) from exc
 
 
 def bundled_scenario_path() -> Path:

@@ -183,13 +183,8 @@ def test_criterion_8_property_suite():
     from ctlsim.ctls import CouplingSet, zero_drive
     from ctlsim.propagator import PulseEnvelope, TimeGrid, propagate, pulse_area
 
-    env_a = PulseEnvelope(
-        "gaussian", peak=1.0, t_start=0.0, t_end=1e-7, center=5e-8, width=1.25e-8
-    )
-    env_a = PulseEnvelope(
-        "gaussian", peak=1.1 / pulse_area(env_a), t_start=0.0, t_end=1e-7,
-        center=5e-8, width=1.25e-8,
-    )
+    env_a = PulseEnvelope("gaussian", peak=1.0, t_start=0.0, t_end=1e-7)
+    env_a = PulseEnvelope("gaussian", peak=1.1 / pulse_area(env_a), t_start=0.0, t_end=1e-7)
     env_b = PulseEnvelope("sin_squared", peak=0.8 / (0.5e-7), t_start=0.0, t_end=1e-7)
     fields = CouplingSet(
         drive_12=env_a,

@@ -467,6 +467,22 @@ class TestScenarioHandling:
         assert (code, out) == (EXIT_SCHEMA, "")
         assert "ctls.levels: the three levels must be distinct" in err
 
+    def test_mode_override_error_names_the_loop_it_built(self, capsys, tmp_path):
+        # levels 1 and 3 differ only in their vibrational quantum: the
+        # scenario's ro-vibrational loop runs, its purely rotational
+        # override repeats J = 1, tau = 1
+        path = level_2_lowest_scenario(tmp_path, "ro-vibrational")
+        for command in ("excess", "yield", "populations", "figure fig2c"):
+            code, _, err = run_cli(capsys, *command.split(), "--scenario", path)
+            assert (code, err) == (EXIT_OK, ""), command
+        for command in ("figure fig2d", "figure fig3"):
+            code, out, err = run_cli(capsys, *command.split(), "--scenario", path)
+            assert (code, out) == (EXIT_SCHEMA, ""), command
+            assert (
+                "ctls.levels: the three levels must be distinct"
+                " in the purely_rotational loop this command builds"
+            ) in err
+
     @pytest.mark.parametrize("j", [1001, 100000])
     def test_level_j_beyond_the_bound_exit_3(self, capsys, tmp_path, j):
         path = tmp_path / "big-j.scenario"

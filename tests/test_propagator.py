@@ -25,7 +25,6 @@ from ctlsim.propagator import (
     _ordered_product,
     _protocol_unitary,
     _step_exponentials,
-    ProtocolStep,
     PulseEnvelope,
     PulseSchedule,
     ScheduleError,
@@ -44,13 +43,8 @@ SHAPES = ("rectangular", "gaussian", "sin_squared")
 
 def envelope(shape: str, area: float, duration: float = 1e-7) -> PulseEnvelope:
     """Envelope of the requested shape and exact area."""
-    kwargs = {}
-    if shape == "gaussian":
-        kwargs = {"center": duration / 2.0, "width": duration / 8.0}
-    unit = PulseEnvelope(shape=shape, peak=1.0, t_start=0.0, t_end=duration, **kwargs)
-    return PulseEnvelope(
-        shape=shape, peak=area / pulse_area(unit), t_start=0.0, t_end=duration, **kwargs
-    )
+    unit = PulseEnvelope(shape=shape, peak=1.0, t_start=0.0, t_end=duration)
+    return PulseEnvelope(shape=shape, peak=area / pulse_area(unit), t_start=0.0, t_end=duration)
 
 
 def drive_13_only(env: PulseEnvelope, sign: float = 1.0) -> CouplingSet:
@@ -108,24 +102,27 @@ class TestPulseEnvelope:
         assert env(2.5) == 0.0
         assert env(1.5) == 2.0
 
-    def test_negative_peak_rejected(self):
-        with pytest.raises(ValueError):
-            PulseEnvelope("rectangular", peak=-1.0, t_start=0.0, t_end=1.0)
-
-    def test_gaussian_requires_center_width(self):
-        with pytest.raises(ValueError):
-            PulseEnvelope("gaussian", peak=1.0, t_start=0.0, t_end=1.0)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_negative_peak_is_the_flipped_pulse(self, shape):
+        # the sign of the peak flips the pulse's phase by pi: values and
+        # area are those of the positive pulse, negated
+        positive = envelope(shape, 0.7)
+        negative = replace(positive, peak=-positive.peak)
+        times = np.linspace(0.0, positive.t_end, 33)[1:-1]
+        assert (negative(times) < 0.0).all()
+        assert (negative(times) == -positive(times)).all()
+        assert pulse_area(negative) == -pulse_area(positive) < 0.0
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             PulseEnvelope("triangle", peak=1.0, t_start=0.0, t_end=1.0)
 
-    @pytest.mark.parametrize("field", ["t_start", "t_end", "center", "width"])
+    @pytest.mark.parametrize("field", ["peak", "t_start", "t_end"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_field_rejected_by_name(self, field, value):
-        fields = {"t_start": 0.0, "t_end": 1.0, "center": 0.5, "width": 0.1, field: value}
+        fields = {"peak": 1.0, "t_start": 0.0, "t_end": 1.0, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            PulseEnvelope("gaussian", peak=1.0, **fields)
+            PulseEnvelope("gaussian", **fields)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_array_call_matches_scalar_calls(self, shape):
@@ -158,28 +155,19 @@ class TestPulseArea:
         assert pulse_area(env) == pytest.approx(2.5 * 0.8 / 2.0, rel=1e-9)
 
     def test_gaussian_against_quad_reference(self):
-        from scipy.integrate import quad
-
-        env = PulseEnvelope(
-            "gaussian", peak=1.7, t_start=0.0, t_end=1.0, center=0.5, width=0.1
-        )
+        # centred in the window, sigma = duration/8
+        env = PulseEnvelope("gaussian", peak=1.7, t_start=0.0, t_end=1.0)
         reference, _ = quad(
-            lambda t: 1.7 * np.exp(-((t - 0.5) ** 2) / (2 * 0.1**2)), 0.0, 1.0
+            lambda t: 1.7 * np.exp(-((t - 0.5) ** 2) / (2 * 0.125**2)), 0.0, 1.0
         )
         assert pulse_area(env) == pytest.approx(reference, rel=1e-9)
 
-    def test_off_center_gaussian_against_quad(self):
+    def test_centred_gaussian_against_quad_on_random_windows(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             t_start, t_end = np.sort(rng.uniform(-1.0, 1.0, size=2))
-            env = PulseEnvelope(
-                "gaussian",
-                peak=rng.uniform(0.1, 10.0),
-                t_start=t_start,
-                t_end=t_end,
-                center=rng.uniform(t_start - 0.5, t_end + 0.5),
-                width=rng.uniform(0.02, 1.0),
-            )
+            peak = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
+            env = PulseEnvelope("gaussian", peak=peak, t_start=t_start, t_end=t_end)
             reference, _ = quad(env, t_start, t_end, epsabs=0.0, epsrel=1e-13, limit=200)
             assert pulse_area(env) == pytest.approx(reference, rel=1e-12)
 
@@ -201,8 +189,10 @@ class TestInteractionHamiltonian:
     def test_step_b_bright_state_form(self):
         # the two step-B drives combine into W0(t) (|D><2| + h.c.)
         env = PulseEnvelope("rectangular", peak=1.3, t_start=0.0, t_end=1.0)
-        step = ProtocolStep(label="B", envelope=env)
-        h = interaction_hamiltonian(0.5, step_couplings(step))
+        step_a = PulseEnvelope("rectangular", peak=1.0, t_start=-2.0, t_end=-1.0)
+        step_c = PulseEnvelope("rectangular", peak=1.0, t_start=2.0, t_end=3.0)
+        _, fields, _ = step_couplings(PulseSchedule(step_a, env, step_c))
+        h = interaction_hamiltonian(0.5, fields)
         d = bright_state()
         e2 = np.array([0.0, 1.0, 0.0])
         expected = 1.3 * (np.outer(d, e2.conj()) + np.outer(e2, d.conj()))
@@ -383,64 +373,108 @@ class TestPropagate:
 class TestSchedule:
     def test_ideal_schedule_areas(self):
         schedule = ideal_schedule()
-        assert schedule.step_a.signed_area == pytest.approx(np.pi / 4.0, rel=1e-9)
-        assert schedule.step_b.signed_area == pytest.approx(np.pi / 2.0, rel=1e-9)
-        assert schedule.step_c.signed_area == pytest.approx(-np.pi / 4.0, rel=1e-9)
+        assert pulse_area(schedule.step_a) == pytest.approx(np.pi / 4.0, rel=1e-9)
+        assert pulse_area(schedule.step_b) == pytest.approx(np.pi / 2.0, rel=1e-9)
+        assert pulse_area(schedule.step_c) == pytest.approx(-np.pi / 4.0, rel=1e-9)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_step_c_peak_carries_the_sign_of_its_area(self, shape):
+        # -pi/4 is the pi-flipped quarter pulse; 3 pi/4 needs no flip
+        for area, sign in ((-np.pi / 4.0, -1.0), (0.75 * np.pi, 1.0)):
+            schedule = ideal_schedule(shape, step_c_area=area)
+            assert np.sign(schedule.step_c.peak) == sign
+            assert schedule.step_a.peak > 0.0 and schedule.step_b.peak > 0.0
+            assert pulse_area(schedule.step_c) == pytest.approx(area, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"peak": np.nan}, "peak"),
+            ({"peak": np.inf}, "peak"),
+            ({"peak": 0.0}, "peak"),
+            ({"peak": -1.0}, "peak"),
+            ({"gap": np.nan}, "gap"),
+            ({"gap": np.inf}, "gap"),
+            ({"gap": -1e-9}, "gap"),
+            ({"step_c_area": np.nan}, "step_c_area"),
+            ({"step_c_area": np.inf}, "step_c_area"),
+            ({"step_c_area": -np.inf}, "step_c_area"),
+            ({"step_c_area": 0.0}, "step_c_area"),
+            ({"t_start": np.nan}, "t_start"),
+            ({"t_start": np.inf}, "t_start"),
+        ],
+    )
+    def test_bad_argument_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ideal_schedule(**kwargs)
 
     def test_steps_ordered_and_disjoint(self):
         schedule = ideal_schedule()
-        windows = [step.window for step in schedule.steps]
+        windows = [(step.t_start, step.t_end) for step in schedule.steps]
         assert windows[0][1] <= windows[1][0] <= windows[1][1] <= windows[2][0]
 
     def test_overlapping_steps_rejected(self):
         env = PulseEnvelope("rectangular", peak=1.0, t_start=0.0, t_end=1.0)
         with pytest.raises(ValueError):
-            PulseSchedule(
-                ProtocolStep("A", env),
-                ProtocolStep("B", env),
-                ProtocolStep("C", env),
-            )
+            PulseSchedule(env, env, env)
 
     def test_wrong_area_rejected(self):
         schedule = ideal_schedule()
         bad_env = PulseEnvelope(
             "rectangular",
-            peak=schedule.step_a.envelope.peak * 1.01,
-            t_start=schedule.step_a.envelope.t_start,
-            t_end=schedule.step_a.envelope.t_end,
+            peak=schedule.step_a.peak * 1.01,
+            t_start=schedule.step_a.t_start,
+            t_end=schedule.step_a.t_end,
         )
-        bad = PulseSchedule(
-            ProtocolStep("A", bad_env), schedule.step_b, schedule.step_c
-        )
+        bad = PulseSchedule(bad_env, schedule.step_b, schedule.step_c)
         with pytest.raises(ScheduleError):
             run_protocol(bad, Chirality.L)
 
     @pytest.mark.parametrize("label", ["A", "B", "C"])
     def test_nan_area_rejected(self, label):
-        # finite fields whose area overflows: (peak * width = inf) * (erf difference = 0)
-        schedule = ideal_schedule()
-        step = getattr(schedule, f"step_{label.lower()}")
-        t_start, t_end = step.window
-        env = PulseEnvelope(
-            "gaussian", peak=1e300, t_start=t_start, t_end=t_end, center=1e30, width=1e10
-        )
-        assert np.isnan(pulse_area(env))
-        bad = replace(schedule, **{f"step_{label.lower()}": replace(step, envelope=env)})
-        with pytest.raises(ScheduleError, match=f"step {label} area"):
-            run_protocol(bad, Chirality.L)
+        # finite fields over a window whose duration overflows to inf: the
+        # area peak * inf is NaN for a zero peak, inf otherwise. The other
+        # steps keep their areas in windows before and after it.
+        bad = "ABC".index(label)
+        for peak, nonfinite in ((0.0, np.isnan), (1.0, np.isinf)):
+            steps = []
+            for i, area in enumerate((np.pi / 4.0, np.pi / 2.0, -np.pi / 4.0)):
+                if i == bad:
+                    steps.append(PulseEnvelope("rectangular", peak, -1e308, 1e308))
+                    continue
+                t_start = (-1.5e308 if i < bad else 1.2e308) + 2e307 * i
+                t_end = t_start + 1e307
+                steps.append(PulseEnvelope("rectangular", area / (t_end - t_start), t_start, t_end))
+            schedule = PulseSchedule(*steps)
+            assert nonfinite(pulse_area(schedule.steps[bad]))
+            with pytest.raises(ScheduleError, match=f"step {label} area"):
+                run_protocol(schedule, Chirality.L)
 
 
 def test_step_b_pointwise_amplitude_relation():
     # W23(t) = |W23(t)| = -i W12(t) = W0(t)/sqrt(2) across the window
     schedule = ideal_schedule(shape="sin_squared")
     step = schedule.step_b
-    fields = step_couplings(step)
-    for t in np.linspace(step.window[0], step.window[1], 9):
+    _, fields, _ = step_couplings(schedule)
+    for t in np.linspace(step.t_start, step.t_end, 9):
         w12 = fields.drive_12(t)
         w23 = fields.drive_23(t)
         assert w23 == abs(w23)
         assert -1j * w12 == pytest.approx(w23, abs=1e-15)
-        assert w23 == pytest.approx(step.envelope(t) / np.sqrt(2.0), abs=1e-15)
+        assert w23 == pytest.approx(step(t) / np.sqrt(2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_steps_a_and_c_drive_13_with_their_envelope(shape):
+    schedule = ideal_schedule(shape, step_c_area=-np.pi / 4.0)
+    fields_a, _, fields_c = step_couplings(schedule)
+    assert fields_a.drive_13 is schedule.step_a
+    assert fields_c.drive_13 is schedule.step_c
+    times = np.linspace(schedule.step_a.t_start, schedule.step_c.t_end, 101)
+    for fields in (fields_a, fields_c):
+        assert fields.chirality is None
+        assert (np.broadcast_to(fields.drive_12(times), times.shape) == 0.0).all()
+        assert (np.broadcast_to(fields.drive_23(times), times.shape) == 0.0).all()
 
 
 def zero_diagonal_hermitian(rng, count: int, scale: float) -> np.ndarray:
@@ -545,10 +579,11 @@ class TestStepExponentials:
         # gaussian step for step C = 7 pi/4, 2.5 at 7 and 0.01 at 2000
         for shape in SHAPES:
             for area in (-np.pi / 4.0, 0.75 * np.pi, 1.75 * np.pi):
-                for step in ideal_schedule(shape, step_c_area=area).steps:
+                schedule = ideal_schedule(shape, step_c_area=area)
+                for step, couplings in zip(schedule.steps, step_couplings(schedule)):
                     for chirality in (Chirality.L, Chirality.R):
-                        fields = signed_couplings(step_couplings(step), chirality)
-                        t0, t1 = step.window
+                        fields = signed_couplings(couplings, chirality)
+                        t0, t1 = step.t_start, step.t_end
                         dt = (t1 - t0) / steps
                         h = interaction_hamiltonian(t0 + (np.arange(steps) + 0.5) * dt, fields)
                         e = _step_exponentials(upper_rows(h), dt)

@@ -234,6 +234,8 @@ class TestValidation:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(write(tmp_path, MINIMAL.replace(old, new)))
         assert err.value.field.startswith("ctls.levels")
+        # the scenario's own loop: no override to name
+        assert "loop this command builds" not in str(err.value)
 
     @pytest.mark.parametrize(
         "sweep",

@@ -1,11 +1,17 @@
 """Chirality-dependent couplings and closed-form protocol unitaries.
 
-The three drive fields close a loop over the basis {|1>, |2>, |3>}, and the
-loop phase arg(W12 * W23 * W31) is a physical observable that differs by pi
-between the two enantiomers. Sign convention used throughout: the (1,3)
-amplitude of the left-handed species is the negated base amplitude, which
-makes the three-step protocol return left-handed molecules to the ground
-state and transfer right-handed ones from |1> to |2>.
+The protocol's two rules live here and nowhere else:
+
+- ``_STEP_AREAS``, the pulse areas of steps A, B and C as the base drives
+  carry them: pi/4 on (1,3), pi/2 split over (1,2) and (2,3), and -pi/4 on
+  (1,3). ``propagator`` builds and checks its schedules from them.
+- The sign rule ``_signed_13``: the left-handed species sees the negated
+  (1,3) amplitude, so the loop phases arg(W12 * W23 * conj(W13)) of the
+  two enantiomers differ by pi.
+
+``signed_couplings`` applies the sign rule to drives and ``step_unitaries``
+to the step areas. Under it the protocol returns left-handed molecules to
+the ground state and transfers right-handed ones from |1> to |2>.
 
 A drive is its Rabi function W_nm(t): the ``CouplingSet`` slot it fills,
 ``drive_12``, ``drive_23`` or ``drive_13``, says which transition it couples.
@@ -25,15 +31,17 @@ __all__ = [
     "constant_drive",
     "zero_drive",
     "signed_couplings",
-    "overall_phase",
-    "analytic_step_unitary",
+    "step_unitaries",
     "total_unitary",
-    "bright_state",
 ]
 
 RabiFunction = Callable[[np.ndarray], np.ndarray | complex]
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+
+# Pulse areas of steps A, B and C in radians, as the base drives carry them.
+# Step C also admits any (k + 3/4)*pi, the same area plus a multiple of pi.
+_STEP_AREAS = (np.pi / 4.0, np.pi / 2.0, -np.pi / 4.0)
 
 
 class Chirality(enum.Enum):
@@ -56,7 +64,7 @@ def zero_drive() -> RabiFunction:
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """The three drives of the loop, optionally tagged with a chirality.
+    """The three drives of the loop.
 
     Each drive is the complex coupling amplitude W_nm(t) in rad/s of the
     transition its field names, as a function of time in seconds. It takes
@@ -69,44 +77,28 @@ class CouplingSet:
     drive_12: RabiFunction
     drive_23: RabiFunction
     drive_13: RabiFunction
-    chirality: Chirality | None = None
 
 
-def _negated(drive: RabiFunction) -> RabiFunction:
-    return lambda t: -drive(t)
+def _signed_13(value, chirality: Chirality):
+    """The sign rule: a (1,3) amplitude or area as the species ``chirality``
+    sees it, negated for the left-handed one and unchanged for the
+    right-handed one."""
+    return -value if chirality is Chirality.L else value
 
 
 def signed_couplings(base: CouplingSet, chirality: Chirality) -> CouplingSet:
-    """Attach a handedness to a base coupling set.
-
-    The right-handed species sees the base amplitudes unchanged; the
-    left-handed one has the sign of the (1,3) amplitude flipped, so
-    W13_L = -W13_R and the loop phases differ by pi.
-    """
-    if base.chirality is not None:
-        raise ValueError("base coupling set already carries a chirality")
-    drive_13 = base.drive_13 if chirality is Chirality.R else _negated(base.drive_13)
+    """The drives a species of handedness ``chirality`` sees under the base
+    drives: W12 and W23 unchanged, and W13 signed by ``_signed_13``, so
+    W13_L = -W13_R and the loop phases differ by pi."""
     return CouplingSet(
         drive_12=base.drive_12,
         drive_23=base.drive_23,
-        drive_13=drive_13,
-        chirality=chirality,
+        drive_13=lambda t: _signed_13(base.drive_13(t), chirality),
     )
 
 
-def overall_phase(couplings: CouplingSet, t: float = 0.0) -> float:
-    """Loop phase arg(W12 * W23 * conj(W13)) at time ``t``, in [0, 2*pi)."""
-    w12 = complex(couplings.drive_12(t))
-    w23 = complex(couplings.drive_23(t))
-    w13 = complex(couplings.drive_13(t))
-    if w12 == 0 or w23 == 0 or w13 == 0:
-        raise ValueError(f"loop phase undefined: an amplitude vanishes at t = {t}")
-    return float(np.angle(w12 * w23 * np.conj(w13)) % (2.0 * np.pi))
-
-
-def _pulse_13(quarter_turns: float) -> np.ndarray:
-    """exp(-i * theta * (|1><3| + |3><1|)) for theta = quarter_turns * pi/4."""
-    theta = quarter_turns * np.pi / 4.0
+def _pulse_13(theta: float) -> np.ndarray:
+    """exp(-i * theta * (|1><3| + |3><1|)), a pulse of area ``theta`` on (1,3)."""
     u = np.eye(3, dtype=complex)
     u[0, 0] = u[2, 2] = np.cos(theta)
     u[0, 2] = u[2, 0] = -1j * np.sin(theta)
@@ -130,28 +122,20 @@ _TOTAL = {
     ),
 }
 
-# Signed pulse areas on (1,3) per step and chirality, in units of pi/4.
-# The base schedule carries +pi/4 (step A) and -pi/4 (step C); the sign
-# flip of the left-handed (1,3) amplitude negates both for Q = L.
-_STEP_13_QUARTER_TURNS = {
-    ("A", Chirality.L): -1.0,
-    ("A", Chirality.R): +1.0,
-    ("C", Chirality.L): +1.0,
-    ("C", Chirality.R): -1.0,
-}
 
+def step_unitaries(chirality: Chirality) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form unitaries (U_A, U_B, U_C) of the protocol steps.
 
-def analytic_step_unitary(step: str, chirality: Chirality) -> np.ndarray:
-    """Closed-form unitary of protocol step ``step`` in {"A", "B", "C"}.
-
-    Step B is chirality independent; steps A and C are quarter-pulse
-    rotations on the (1,3) pair whose sense follows the signed coupling.
+    Steps A and C are pulses on the (1,3) pair whose areas are the
+    ``_STEP_AREAS`` signed by ``_signed_13``. Step B does not drive (1,3)
+    and is the same for both handednesses.
     """
-    if step == "B":
-        return _STEP_B.copy()
-    if step in ("A", "C"):
-        return _pulse_13(_STEP_13_QUARTER_TURNS[(step, chirality)])
-    raise ValueError(f"step must be one of 'A', 'B', 'C', got {step!r}")
+    area_a, _, area_c = _STEP_AREAS
+    return (
+        _pulse_13(_signed_13(area_a, chirality)),
+        _STEP_B.copy(),
+        _pulse_13(_signed_13(area_c, chirality)),
+    )
 
 
 def total_unitary(chirality: Chirality) -> np.ndarray:
@@ -162,9 +146,3 @@ def total_unitary(chirality: Chirality) -> np.ndarray:
     right-handed one.
     """
     return _TOTAL[chirality].copy()
-
-
-def bright_state() -> np.ndarray:
-    """State coupled to |2> during step B, (i|1> + |3>)/sqrt(2); the same for
-    both handednesses, since step B does not drive (1,3)."""
-    return np.array([1j * _SQ2, 0.0, _SQ2])

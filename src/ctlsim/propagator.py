@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ctls import Chirality, CouplingSet, signed_couplings, zero_drive
+from .ctls import _STEP_AREAS, Chirality, CouplingSet, signed_couplings, zero_drive
 
 __all__ = [
     "PulseEnvelope",
@@ -157,12 +157,13 @@ def ideal_schedule(
     peak: float = DEFAULT_PEAK_RAD_S,
     t_start: float = 0.0,
     gap: float = 1e-8,
-    step_c_area: float = -np.pi / 4.0,
+    step_c_area: float = _STEP_AREAS[2],
 ) -> PulseSchedule:
     """Schedule meeting the protocol area conditions pi/4, pi/2, -pi/4.
 
     ``step_c_area`` accepts any equivalent choice (k + 3/4)*pi. All results
-    depend only on the areas, so ``peak`` merely sets the time scale.
+    depend only on the areas, so ``peak`` merely sets the time scale. A step
+    whose window does not fit in floats names the arguments it came from.
     """
     if not 0.0 < peak < math.inf:
         raise ValueError(f"peak must be finite and > 0, got {peak}")
@@ -170,11 +171,22 @@ def ideal_schedule(
         raise ValueError(f"gap must be finite and >= 0, got {gap}")
     if not (math.isfinite(step_c_area) and step_c_area != 0.0):
         raise ValueError(f"step_c_area must be finite and nonzero, got {step_c_area}")
+    if not math.isfinite(t_start):
+        raise ValueError(f"t_start must be finite, got {t_start}")
     envelopes = []
     t = t_start
-    for area in (np.pi / 4.0, np.pi / 2.0, step_c_area):
+    for label, area in zip("ABC", (*_STEP_AREAS[:2], step_c_area)):
         # shaped pulses spread the area over twice the rectangular window
         duration = abs(area) / peak * (1.0 if shape == "rectangular" else 2.0)
+        sources = f"peak = {peak}" + (f", step_c_area = {step_c_area}" if label == "C" else "")
+        if not 0.0 < duration < math.inf:
+            raise ValueError(f"{sources}: step {label} lasts {duration} s, not a finite time > 0")
+        if not t < t + duration < math.inf:
+            start = f"t_start = {t_start}" + (f", gap = {gap}" if label != "A" else "")
+            raise ValueError(
+                f"{start}, {sources}: step {label} of "
+                f"{duration} s starting at {t} s does not end at a later finite time"
+            )
         unit = PulseEnvelope(shape, 1.0, t, t + duration)
         envelopes.append(replace(unit, peak=area / pulse_area(unit)))
         t = unit.t_end + gap
@@ -355,15 +367,15 @@ def propagate(
 def _check_areas(schedule: PulseSchedule) -> None:
     # each test is written as "not within tolerance", so a NaN area fails it
     area_a = pulse_area(schedule.step_a)
-    if not abs(area_a - np.pi / 4.0) <= _AREA_TOL:
+    if not abs(area_a - _STEP_AREAS[0]) <= _AREA_TOL:
         raise ScheduleError(f"step A area must be pi/4, got {area_a}")
     area_b = pulse_area(schedule.step_b)
-    if not abs(area_b - np.pi / 2.0) <= _AREA_TOL:
+    if not abs(area_b - _STEP_AREAS[1]) <= _AREA_TOL:
         raise ScheduleError(f"step B area must be pi/2, got {area_b}")
-    # Step C admits -pi/4 or any (k + 3/4)*pi: congruent to 3*pi/4 mod pi.
+    # Step C admits -pi/4 or any (k + 3/4)*pi: congruent to -pi/4 mod pi.
     area_c = pulse_area(schedule.step_c)
-    residue = (area_c - 0.75 * np.pi) % np.pi
-    if not min(residue, np.pi - residue) <= _AREA_TOL:
+    residue = (area_c - _STEP_AREAS[2]) % math.pi
+    if not min(residue, math.pi - residue) <= _AREA_TOL:
         raise ScheduleError(f"step C area must equal (k + 3/4)*pi, got {area_c}")
 
 

@@ -122,7 +122,8 @@ def block_energies(j: int, constants: RotationalConstants) -> np.ndarray:
     """
     block = build_rotor_block(j, constants)
     e_plus = block[j::2, j::2].copy()
-    e_plus[0, 1:2] *= np.sqrt(2.0)  # <0|H|2> couples |0> to (|2> + |-2>)/sqrt(2)
+    # <0|H|2> couples |0> to (|2> + |-2>)/sqrt(2); eigvalsh below reads only
+    # the lower triangle (UPLO="L"), so that is the one copy scaled
     e_plus[1:2, 0] *= np.sqrt(2.0)
     wang = [e_plus, block[j + 2 :: 2, j + 2 :: 2]]
     if j:
@@ -131,7 +132,7 @@ def block_energies(j: int, constants: RotationalConstants) -> np.ndarray:
             o = odd.copy()
             o[0, 0] += sign * block[j - 1, j + 1]
             wang.append(o)
-    energies = np.sort(np.concatenate([np.linalg.eigvalsh(w) for w in wang]))
+    energies = np.sort(np.concatenate([np.linalg.eigvalsh(w, UPLO="L") for w in wang]))
     energies.flags.writeable = False
     return energies
 

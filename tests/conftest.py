@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ctlsim.rotor import RotationalConstants
@@ -13,6 +14,13 @@ from ctlsim.transfer import (
 # OH-stretch at 100.95 THz.
 PROPANEDIOL = RotationalConstants(A=8.5244, B=3.6354, C=2.7887)
 OH_STRETCH = VibrationalMode(name="OH-stretch", frequency_thz=100.95, max_quanta=5)
+
+
+def bright_state() -> np.ndarray:
+    """State coupled to |2> during step B, (i|1> + |3>)/sqrt(2); the same for
+    both handednesses, since step B does not drive (1,3)."""
+    sq2 = 1.0 / np.sqrt(2.0)
+    return np.array([1j * sq2, 0.0, sq2])
 
 
 def build_config(mode: str) -> CtlsConfig:

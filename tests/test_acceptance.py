@@ -7,7 +7,7 @@ for passing runs).
 import numpy as np
 import pytest
 
-from ctlsim.ctls import Chirality, analytic_step_unitary, total_unitary
+from ctlsim.ctls import Chirality, step_unitaries, total_unitary
 from ctlsim.propagator import apply_to_density, ideal_schedule, run_protocol
 from ctlsim.rotor import RotationalConstants, rotor_levels
 from ctlsim.thermal import (
@@ -39,11 +39,8 @@ def test_criterion_1_composite_unitaries():
     failures = []
     schedule = ideal_schedule()
     for chirality in CHIRALITIES:
-        product = (
-            analytic_step_unitary("C", chirality)
-            @ analytic_step_unitary("B", chirality)
-            @ analytic_step_unitary("A", chirality)
-        )
+        u_a, u_b, u_c = step_unitaries(chirality)
+        product = u_c @ u_b @ u_a
         analytic_defect = np.abs(product - total_unitary(chirality)).max()
         if analytic_defect >= 1e-12:
             failures.append(f"analytic product defect {analytic_defect} ({chirality})")

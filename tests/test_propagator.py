@@ -12,14 +12,14 @@ from scipy.linalg import expm
 from ctlsim.ctls import (
     Chirality,
     CouplingSet,
-    analytic_step_unitary,
-    bright_state,
     constant_drive,
     signed_couplings,
+    step_unitaries,
     total_unitary,
     zero_drive,
 )
 from ctlsim.propagator import (
+    _AREA_TOL,
     _CHUNK,
     _drive_rows,
     _ordered_product,
@@ -37,6 +37,8 @@ from ctlsim.propagator import (
     run_protocol,
     step_couplings,
 )
+
+from .conftest import bright_state
 
 SHAPES = ("rectangular", "gaussian", "sin_squared")
 
@@ -273,7 +275,7 @@ class TestPropagate:
         env = envelope("rectangular", np.pi / 4.0)
         fields = signed_couplings(drive_13_only(env), Chirality.L)
         u = propagate(fields, (0.0, env.t_end), TimeGrid(4))
-        assert np.abs(u - analytic_step_unitary("A", Chirality.L)).max() < 1e-12
+        assert np.abs(u - step_unitaries(Chirality.L)[0]).max() < 1e-12
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_area_theorem_shape_independence(self, shape):
@@ -408,6 +410,23 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ideal_schedule(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, names",
+        [
+            ({"peak": 1e-310}, ["peak"]),
+            ({"peak": 1e300, "t_start": 1.0}, ["t_start", "peak"]),
+            ({"step_c_area": 1e-320}, ["peak", "step_c_area"]),
+            ({"t_start": 1.7e308}, ["t_start", "peak"]),
+        ],
+        ids=["tiny-peak", "huge-peak", "tiny-step_c_area", "huge-t_start"],
+    )
+    def test_degenerate_step_names_its_arguments(self, kwargs, names):
+        # finite arguments that give a step a duration that is not a finite
+        # float > 0 (the first and third), or an end that rounds onto its start
+        with pytest.raises(ValueError) as info:
+            ideal_schedule(**kwargs)
+        assert re.findall(r"(\w+) = ", str(info.value)) == names
+
     def test_steps_ordered_and_disjoint(self):
         schedule = ideal_schedule()
         windows = [(step.t_start, step.t_end) for step in schedule.steps]
@@ -429,6 +448,30 @@ class TestSchedule:
         bad = PulseSchedule(bad_env, schedule.step_b, schedule.step_c)
         with pytest.raises(ScheduleError):
             run_protocol(bad, Chirality.L)
+
+    @pytest.mark.parametrize(
+        "label, target",
+        [("A", np.pi / 4.0), ("B", np.pi / 2.0)]
+        + [("C", (k + 0.75) * np.pi) for k in (-1, 0, 1, -2)],
+        ids=["A", "B", "C-k-1", "C-k0", "C-k1", "C-k-2"],
+    )
+    @pytest.mark.parametrize(
+        "offset", [-2.0, 2.0, -0.5, 0.5], ids=["-2tol", "+2tol", "-tol/2", "+tol/2"]
+    )
+    def test_area_bound(self, label, target, offset):
+        # areas off by 2 _AREA_TOL are rejected, by _AREA_TOL/2 accepted
+        index = "ABC".index(label)
+        steps = list(ideal_schedule().steps)
+        unit = replace(steps[index], peak=1.0)
+        area = target + offset * _AREA_TOL
+        steps[index] = replace(unit, peak=area / pulse_area(unit))
+        assert pulse_area(steps[index]) == pytest.approx(area, rel=0.0, abs=1e-14)
+        schedule = PulseSchedule(*steps)
+        if abs(offset) > 1.0:
+            with pytest.raises(ScheduleError, match=f"step {label} area"):
+                run_protocol(schedule, Chirality.L, 1)
+        else:
+            run_protocol(schedule, Chirality.L, 1)
 
     @pytest.mark.parametrize("label", ["A", "B", "C"])
     def test_nan_area_rejected(self, label):
@@ -472,7 +515,6 @@ def test_steps_a_and_c_drive_13_with_their_envelope(shape):
     assert fields_c.drive_13 is schedule.step_c
     times = np.linspace(schedule.step_a.t_start, schedule.step_c.t_end, 101)
     for fields in (fields_a, fields_c):
-        assert fields.chirality is None
         assert (np.broadcast_to(fields.drive_12(times), times.shape) == 0.0).all()
         assert (np.broadcast_to(fields.drive_23(times), times.shape) == 0.0).all()
 

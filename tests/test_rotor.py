@@ -120,9 +120,9 @@ class TestBlockEnergies:
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
-        def recording_eigvalsh(matrix):
+        def recording_eigvalsh(matrix, **kwargs):
             shapes.append(matrix.shape)
-            return eigvalsh(matrix)
+            return eigvalsh(matrix, **kwargs)
 
         monkeypatch.setattr(rotor.np.linalg, "eigvalsh", recording_eigvalsh)
         block_energies.cache_clear()

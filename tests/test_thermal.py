@@ -191,6 +191,43 @@ class TestTinyTemperatures:
             assert (shares == 0.0).all()
 
 
+class TestFrozenLoopGround:
+    """Which levels keep the weight at T = 0: the minimal energy, ties within
+    a relative 1e-12 (roundoff) included, nearer levels excluded."""
+
+    @staticmethod
+    def level(constants: RotationalConstants, j: int, tau: int, vib_thz: float = 0.0):
+        rot = rotor_levels(j, constants)[tau + j]
+        return RoVibLevel(vib_quantum=int(vib_thz > 0), vib_energy_thz=vib_thz, rot=rot)
+
+    def test_roundoff_tie_splits_equally(self):
+        # the +-K pair of an oblate symmetric top agrees only to roundoff
+        oblate = RotationalConstants(A=4.0, B=4.0, C=1.0)
+        levels = [self.level(oblate, 4, 0), self.level(oblate, 4, 1), self.level(oblate, 5, 5)]
+        gap = levels[1].rot.energy_ghz - levels[0].rot.energy_ghz
+        assert 0.0 < gap < 1e-13
+        assert (loop_populations(levels, 0.0, 0.0) == [[0.5, 0.5, 0.0]]).all()
+
+    def test_near_tie_is_not_a_tie(self):
+        # the v = 1 level's total energy lies 1e-9 relative above the v = 0 one
+        e_rot = self.level(PROPANEDIOL, 1, -1).rot.energy_ghz
+        levels = [
+            self.level(PROPANEDIOL, 1, -1),
+            self.level(PROPANEDIOL, 0, 0, vib_thz=e_rot * (1.0 + 1e-9) / 1000.0),
+            self.level(PROPANEDIOL, 2, 0),
+        ]
+        assert (loop_populations(levels, 0.0, 0.0) == [[1.0, 0.0, 0.0]]).all()
+
+    def test_both_frozen_keep_the_lowest_total_energy(self):
+        # level 2 has the lowest rotational energy, level 1 the lowest total
+        levels = [
+            self.level(PROPANEDIOL, 1, -1),
+            self.level(PROPANEDIOL, 0, 0, vib_thz=3.0),
+            self.level(PROPANEDIOL, 2, 0),
+        ]
+        assert (loop_populations(levels, 0.0, 0.0) == [[1.0, 0.0, 0.0]]).all()
+
+
 class TestRotationalPartition:
     def test_low_temperature_limit(self, propanediol):
         assert rotational_partition(propanediol, 0.001) == pytest.approx(1.0, abs=1e-12)

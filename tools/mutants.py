@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""Run the Tier-1 suite against hand-written mutants of src/ and report each.
+
+Usage, from anywhere in a source checkout:
+
+    python3 tools/mutants.py
+
+A mutant is one exact text replacement in one file under src/. Its old text
+must occur exactly once in that file, so a mutant whose target has been
+rewritten stops the run instead of silently testing nothing. Each mutant is
+applied to a temporary copy of src/, and Tier-1 runs against that copy with
+``-x -q``: a failing suite kills the mutant, a passing one lets it survive.
+
+Exit status: 0 if every mutant is killed, 1 if any survives, 2 if a mutant
+no longer applies or the copy of src/ is not the one the suite imports.
+Needs only the standard library and pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# (name, file under src/, old text, new text)
+MUTANTS = (
+    # Each area bound of _check_areas loosened from _AREA_TOL to 1e-3 rad
+    (
+        "areas-A-loose",
+        "ctlsim/propagator.py",
+        "if not abs(area_a - _STEP_AREAS[0]) <= _AREA_TOL:",
+        "if not abs(area_a - _STEP_AREAS[0]) <= 1e-3:",
+    ),
+    (
+        "areas-B-loose",
+        "ctlsim/propagator.py",
+        "if not abs(area_b - _STEP_AREAS[1]) <= _AREA_TOL:",
+        "if not abs(area_b - _STEP_AREAS[1]) <= 1e-3:",
+    ),
+    (
+        "areas-C-loose",
+        "ctlsim/propagator.py",
+        "if not min(residue, math.pi - residue) <= _AREA_TOL:",
+        "if not min(residue, math.pi - residue) <= 1e-3:",
+    ),
+    (
+        "areas-C-one-sided",
+        "ctlsim/propagator.py",
+        "if not min(residue, math.pi - residue) <= _AREA_TOL:",
+        "if not residue <= _AREA_TOL:",
+    ),
+    # Energy ties in the zero-temperature limits: exact only, or far too wide
+    (
+        "tie-rtol-zero",
+        "ctlsim/thermal.py",
+        "_TIE_RTOL = 1e-12",
+        "_TIE_RTOL = 0.0",
+    ),
+    (
+        "tie-rtol-wide",
+        "ctlsim/thermal.py",
+        "_TIE_RTOL = 1e-12",
+        "_TIE_RTOL = 1e-6",
+    ),
+    # Both temperatures frozen: keep the lowest rotational, not total, energy
+    (
+        "both-frozen-rot",
+        "ctlsim/thermal.py",
+        "_ground(vib), _ground(vib + rot)",
+        "_ground(vib), _ground(rot)",
+    ),
+    # The sign rule dropped, or applied to the wrong species
+    (
+        "sign-rule-off",
+        "ctlsim/ctls.py",
+        "return -value if chirality is Chirality.L else value",
+        "return value",
+    ),
+    (
+        "sign-rule-swapped",
+        "ctlsim/ctls.py",
+        "return -value if chirality is Chirality.L else value",
+        "return -value if chirality is Chirality.R else value",
+    ),
+    (
+        "step-c-area-flipped",
+        "ctlsim/ctls.py",
+        "_STEP_AREAS = (np.pi / 4.0, np.pi / 2.0, -np.pi / 4.0)",
+        "_STEP_AREAS = (np.pi / 4.0, np.pi / 2.0, np.pi / 4.0)",
+    ),
+    # An infinite step duration reported as a bad end time, not by its source
+    (
+        "schedule-duration-unbounded",
+        "ctlsim/propagator.py",
+        "if not 0.0 < duration < math.inf:",
+        "if not 0.0 < duration:",
+    ),
+    # The O- Wang block given the O+ sign
+    (
+        "wang-odd-sign",
+        "ctlsim/rotor.py",
+        "for sign in (1.0, -1.0):",
+        "for sign in (1.0, 1.0):",
+    ),
+)
+
+
+def check_applicable(mutants) -> list[str]:
+    """Names and counts of mutants whose old text is not found exactly once."""
+    problems = []
+    for name, path, old, _ in mutants:
+        count = (SRC / path).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            problems.append(f"{name}: old text occurs {count} times in src/{path}")
+    return problems
+
+
+def run_tier1(src: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import ctlsim; print(ctlsim.__file__)"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    if not probe.stdout.strip().startswith(str(src)):
+        print(f"the suite would import ctlsim from {probe.stdout.strip()!r}, not {src}",
+              file=sys.stderr)
+        sys.exit(2)
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+
+
+def first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0]
+    return output.strip().splitlines()[-1] if output.strip() else "no output"
+
+
+def main() -> int:
+    problems = check_applicable(MUTANTS)
+    if problems:
+        print("\n".join(problems))
+        return 2
+    survivors = []
+    for name, path, old, new in MUTANTS:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory(prefix="ctlsim-mutant-") as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            target = src / path
+            target.write_text(target.read_text(encoding="utf-8").replace(old, new), "utf-8")
+            result = run_tier1(src)
+        seconds = time.perf_counter() - start
+        if result.returncode == 0:
+            survivors.append(name)
+            print(f"survived  {name}  ({seconds:.1f} s)", flush=True)
+        else:
+            killed_by = first_failure(result.stdout)
+            print(f"killed    {name}  by {killed_by}  ({seconds:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

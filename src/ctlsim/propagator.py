@@ -188,7 +188,12 @@ def ideal_schedule(
                 f"{duration} s starting at {t} s does not end at a later finite time"
             )
         unit = PulseEnvelope(shape, 1.0, t, t + duration)
-        envelopes.append(replace(unit, peak=area / pulse_area(unit)))
+        step_peak = area / pulse_area(unit)
+        if not math.isfinite(step_peak):
+            raise ValueError(
+                f"{sources}: step {label} needs a peak of {step_peak} rad/s, not a finite one"
+            )
+        envelopes.append(replace(unit, peak=step_peak))
         t = unit.t_end + gap
     return PulseSchedule(*envelopes)
 

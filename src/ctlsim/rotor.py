@@ -7,17 +7,20 @@ which keeps the A-dominant terms on the diagonal. The spectrum itself is
 representation independent.
 
 Each J block couples only k <-> k+-2 and is unchanged under k -> -k, so the
-Wang combinations (|k> +- |-k>)/sqrt(2) split it exactly into four blocks of
-about J/2 rows: E+ (k = 0, 2, ...), E- (k = 2, 4, ...), O+ and O-
-(k = 1, 3, ...). ``block_energies`` diagonalises those instead of the full
-block (Wang, Phys. Rev. 34, 243 (1929); King, Hainer and Cross, J. Chem.
-Phys. 11, 27 (1943)).
+Wang combinations (|k> +- |-k>)/sqrt(2) split it exactly into four
+tridiagonal blocks of about J/2 rows: E+ (k = 0, 2, ...), E- (k = 2, 4, ...),
+O+ and O- (k = 1, 3, ...). ``block_energies`` builds those directly from the
+matrix elements with k >= -1 and diagonalises them instead of the full block,
+which it never forms (Wang, Phys. Rev. 34, 243 (1929); King, Hainer and
+Cross, J. Chem. Phys. 11, 27 (1943)). ``build_rotor_block`` keeps the full
+block as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -33,10 +36,10 @@ __all__ = [
 ]
 
 
-# Largest J of a named level: the memory of one block. Resolving a level
-# builds its dense (2J+1) x (2J+1) block; a `populations` run peaks at about
-# 68 MB with a J = 1000 level and 373 MB with J = 3000, and J = 100000 would
-# need 298 GiB. A larger J is rejected before any block is built.
+# Largest J of a named level. Resolving one diagonalises its four Wang
+# blocks of about (J/2)^2 entries, one at a time: a `populations` run peaks
+# at about 37 MB with a J = 1000 level and 87 MB with J = 3000 (34 MB with
+# the bundled J <= 1 loop). A larger J is rejected before any block is built.
 J_MAX = 1000
 
 
@@ -101,38 +104,59 @@ def build_rotor_block(j: int, constants: RotationalConstants) -> np.ndarray:
     """
     if j < 0:
         raise ValueError(f"J must be non-negative, got {j}")
+    return _symmetric_band(*_matrix_elements(j, constants, -j), 2)
+
+
+def _matrix_elements(
+    j: int, constants: RotationalConstants, k_min: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """<k|H|k> for k = k_min..J and <k|H|k+2> for k = k_min..J-2, in GHz."""
     a, b, c = constants.A, constants.B, constants.C
     jj = j * (j + 1)
-    ks = np.arange(-j, j + 1)
-    block = np.zeros((2 * j + 1, 2 * j + 1))
-    block[np.diag_indices_from(block)] = 0.5 * (b + c) * (jj - ks**2) + a * ks**2
-    k = ks[:-2]
+    k = np.arange(k_min, j + 1)
+    diagonal = 0.5 * (b + c) * (jj - k**2) + a * k**2
+    k = k[:-2]
     coupling = 0.25 * (b - c) * np.sqrt(jj - k * (k + 1)) * np.sqrt(jj - (k + 1) * (k + 2))
-    i = np.arange(len(k))
-    block[i, i + 2] = block[i + 2, i] = coupling
-    return block
+    return diagonal, coupling
 
 
-@lru_cache(maxsize=4096)
+def _symmetric_band(diagonal: np.ndarray, off: np.ndarray, offset: int) -> np.ndarray:
+    """Symmetric matrix with ``diagonal`` and ``off`` ``offset`` places beside it."""
+    matrix = np.diag(diagonal)
+    i = np.arange(len(off))
+    matrix[i, i + offset] = matrix[i + offset, i] = off
+    return matrix
+
+
+def _wang_blocks(j: int, constants: RotationalConstants) -> Iterator[np.ndarray]:
+    """Yield the tridiagonal Wang blocks E+, E-, O+ and O- of one J block,
+    one at a time, built from its k >= -1 matrix elements."""
+    # index k + 1 holds <k|H|k> and <k|H|k+2>
+    diagonal, coupling = _matrix_elements(j, constants, -1)
+    e_plus = coupling[1::2].copy()
+    e_plus[:1] *= np.sqrt(2.0)  # <0|H|2> couples |0> to (|2> + |-2>)/sqrt(2)
+    yield _symmetric_band(diagonal[1::2], e_plus, 1)
+    yield _symmetric_band(diagonal[3::2], coupling[3::2], 1)
+    if j:
+        for sign in (1.0, -1.0):  # O+- gain +-<-1|H|1> on their |1> row
+            odd = diagonal[2::2].copy()
+            odd[0] += sign * coupling[0]
+            yield _symmetric_band(odd, coupling[2::2], 1)
+
+
+# Room for all of one molecule's blocks up to any J a level or a partition
+# walk reaches, so a repeated sweep of one molecule diagonalises nothing
+@lru_cache(maxsize=J_MAX + 1)
 def block_energies(j: int, constants: RotationalConstants) -> np.ndarray:
     """Ascending eigenvalues of one J block, cached per (J, constants).
 
-    The Wang blocks are sliced out of ``build_rotor_block`` at k >= 0 (row
-    j + k). Every caller shares the cached array, so it is returned read-only.
+    The Wang blocks are built and diagonalised one at a time, so no
+    (2J+1) x (2J+1) array exists. Every caller shares the cached array, so
+    it is returned read-only.
     """
-    block = build_rotor_block(j, constants)
-    e_plus = block[j::2, j::2].copy()
-    # <0|H|2> couples |0> to (|2> + |-2>)/sqrt(2); eigvalsh below reads only
-    # the lower triangle (UPLO="L"), so that is the one copy scaled
-    e_plus[1:2, 0] *= np.sqrt(2.0)
-    wang = [e_plus, block[j + 2 :: 2, j + 2 :: 2]]
-    if j:
-        odd = block[j + 1 :: 2, j + 1 :: 2]
-        for sign in (1.0, -1.0):  # O+- gain +-<-1|H|1> on their |1> row
-            o = odd.copy()
-            o[0, 0] += sign * block[j - 1, j + 1]
-            wang.append(o)
-    energies = np.sort(np.concatenate([np.linalg.eigvalsh(w, UPLO="L") for w in wang]))
+    energies = np.sort(
+        np.concatenate([np.linalg.eigvalsh(w, UPLO="L") for w in _wang_blocks(j, constants)])
+    )
     energies.flags.writeable = False
     return energies
 

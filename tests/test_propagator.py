@@ -417,12 +417,20 @@ class TestSchedule:
             ({"peak": 1e300, "t_start": 1.0}, ["t_start", "peak"]),
             ({"step_c_area": 1e-320}, ["peak", "step_c_area"]),
             ({"t_start": 1.7e308}, ["t_start", "peak"]),
+            ({"shape": "gaussian", "peak": 1.7e308}, ["peak"]),
+            ({"peak": 1.7e308, "gap": 0.0, "step_c_area": 1e-15}, ["peak", "step_c_area"]),
         ],
-        ids=["tiny-peak", "huge-peak", "tiny-step_c_area", "huge-t_start"],
+        ids=[
+            "tiny-peak", "huge-peak", "tiny-step_c_area", "huge-t_start",
+            "huge-gaussian-peak", "subnormal-step_c",
+        ],
     )
     def test_degenerate_step_names_its_arguments(self, kwargs, names):
         # finite arguments that give a step a duration that is not a finite
-        # float > 0 (the first and third), or an end that rounds onto its start
+        # float > 0 (the first and third), an end that rounds onto its start,
+        # or an envelope peak that overflows: the gaussian's area factor
+        # needs about 1.6 x `peak`, and a subnormal step C duration loses
+        # the digits that kept its peak near `peak`
         with pytest.raises(ValueError) as info:
             ideal_schedule(**kwargs)
         assert re.findall(r"(\w+) = ", str(info.value)) == names

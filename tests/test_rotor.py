@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from ctlsim.rotor import (
     rotor_levels,
     rotor_spectrum,
 )
+from ctlsim.thermal import rotational_partition
 
 from .conftest import PROPANEDIOL
 
@@ -129,6 +132,30 @@ class TestBlockEnergies:
         block_energies(188, PROPANEDIOL)
         assert max(n for n, _ in shapes) <= 188 // 2 + 1
         assert sum(n for n, _ in shapes) == 2 * 188 + 1
+
+    def test_cold_block_never_forms_the_dense_block(self):
+        j = 600
+        dense_bytes = (2 * j + 1) ** 2 * np.dtype(float).itemsize
+        block_energies.cache_clear()
+        tracemalloc.start()
+        try:
+            block_energies(j, PROPANEDIOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 2
+
+    def test_cache_holds_one_molecules_walk(self):
+        # 30 fresh molecules walk J = 0..~60 at 30 K: more blocks than fit
+        start = block_energies.cache_info().misses
+        for n in range(30):
+            constants = RotationalConstants(PROPANEDIOL.A + n * 1e-3, PROPANEDIOL.B, PROPANEDIOL.C)
+            rotational_partition(constants, 30.0)
+        info = block_energies.cache_info()
+        assert info.misses - start > rotor.J_MAX + 1
+        assert info.currsize <= rotor.J_MAX + 1
+        rotational_partition(constants, 30.0)
+        assert block_energies.cache_info().misses == info.misses
 
 
 class TestRotorLevels:

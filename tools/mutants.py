@@ -102,12 +102,31 @@ MUTANTS = (
         "if not 0.0 < duration < math.inf:",
         "if not 0.0 < duration:",
     ),
-    # The O- Wang block given the O+ sign
+    # The Wang blocks built wrong: O- given the O+ sign, E+ without the sqrt(2)
+    # of <0|H|2>, E- given the odd-k couplings, O+- given <0|H|2> as corner
     (
         "wang-odd-sign",
         "ctlsim/rotor.py",
         "for sign in (1.0, -1.0):",
         "for sign in (1.0, 1.0):",
+    ),
+    (
+        "wang-e-plus-no-sqrt2",
+        "ctlsim/rotor.py",
+        "e_plus[:1] *= np.sqrt(2.0)",
+        "e_plus[:1] *= 1.0",
+    ),
+    (
+        "wang-e-minus-odd-couplings",
+        "ctlsim/rotor.py",
+        "yield _symmetric_band(diagonal[3::2], coupling[3::2], 1)",
+        "yield _symmetric_band(diagonal[3::2], coupling[2::2][: len(diagonal[3::2]) - 1], 1)",
+    ),
+    (
+        "wang-corner-wrong-coupling",
+        "ctlsim/rotor.py",
+        "odd[0] += sign * coupling[0]",
+        "odd[0] += sign * coupling[1:2].sum()",
     ),
 )
 

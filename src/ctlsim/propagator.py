@@ -15,15 +15,17 @@ rectangular, 1/2 sin^2, sqrt(2 pi)/8 erf(2 sqrt 2) for the gaussian, which
 is centred in its window with sigma = duration/8.
 
 The Hamiltonian has a zero diagonal and is Hermitian, so its three upper
-entries W12, W13, W23 fix it. ``propagate`` evaluates only those, as the
-three drive rows of one (3, n) array per chunk (``_drive_rows``), and the
-step exponentials are formed from the rows entry by entry. Stacks of step
-matrices are kept entry-major, shape (3, 3, n): each matrix entry is one
-contiguous vector over the steps, and a 3x3 product over the stack is
-three broadcast multiply-adds of those vectors (``_matmul``). numpy's
-matmul and einsum loop over the n small matrices instead, which costs
-several times more at the chunk size used here. Stacks handed out keep
-the (n, 3, 3) shape as views of the entry-major arrays.
+entries W12, W13, W23, the drive rows (``_drive_rows``), fix it and its step
+exponentials. Stacks of step matrices are entry-major, (3, 3, w, n) for w
+windows of n steps: a 3x3 product over a stack is three broadcast
+multiply-adds of contiguous vectors (``_matmul``).
+
+A protocol is one pass: both enantiomers' steps A, B and C are six windows
+of one chunk loop (``_propagate``), cached together (``_protocol_unitary``).
+A kernel call costs about as much in fixed numpy overhead as in arithmetic
+on 1024 steps, so windows share calls of at most ``_CALL_STEPS`` window-steps.
+Each window keeps its own chunks, series length and squarings: its unitary
+is bit for bit what ``propagate`` gives it alone.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ _SHAPES = {
 _SQ2 = 1.0 / math.sqrt(2.0)
 _AREA_TOL = 1e-8  # radians
 _CHUNK = 1024  # midpoints per Hamiltonian stack in propagate; bounds its memory
+_CALL_STEPS = 3 * _CHUNK  # window-steps per exponential call; bounds its temporaries
 
 DEFAULT_PEAK_RAD_S = 2.0 * np.pi * 1.25e6  # 100 ns quarter pulse
 
@@ -245,7 +248,7 @@ def interaction_hamiltonian(t: float | np.ndarray, fields: CouplingSet) -> np.nd
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for each step of two entry-major (3, 3, n) stacks."""
+    """x @ y for each step of two entry-major (3, 3, ..., n) stacks."""
     product = x[:, 0, None] * y[None, 0]
     product += x[:, 1, None] * y[None, 1]
     product += x[:, 2, None] * y[None, 2]
@@ -253,19 +256,21 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _ordered_product(u: np.ndarray) -> np.ndarray:
-    """u[n-1] @ ... @ u[1] @ u[0] of an (n, 3, 3) stack, by pairwise halving
-    along the step axis of its entry-major view."""
-    u = u.transpose(1, 2, 0)
+    """u[n-1] @ ... @ u[1] @ u[0] of an (..., n, 3, 3) stack, by pairwise
+    halving along the step axis of its entry-major view."""
+    u = np.moveaxis(u, (-2, -1), (0, 1))
     while u.shape[-1] > 1:
         n = u.shape[-1]
         paired = _matmul(u[..., 1::2], u[..., 0 : n - 1 : 2])
         u = np.concatenate((paired, u[..., -1:]), axis=-1) if n % 2 else paired
-    return u[..., 0]
+    return np.moveaxis(u[..., 0], (0, 1), (-2, -1))
 
 
-def _step_exponentials(rows: np.ndarray, dt: float) -> np.ndarray:
+def _step_exponentials(rows: np.ndarray, dt, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-i h dt) for each step of a zero-diagonal Hermitian h given by its
-    drive rows, shape (3, n): the upper entries h01, h02, h12 (``_drive_rows``).
+    drive rows, shape (3, n), or (3, w, n) for w windows with a float ``dt``
+    or one per window, shape (w, 1): the upper entries h01, h02, h12
+    (``_drive_rows``). The rows are scaled by ``dt`` in place.
 
     By Cayley-Hamilton a traceless 3x3 matrix A = h dt obeys
     A^3 = c1 A + c0 I with c1 = tr(A^2)/2 and c0 = det A, both real for
@@ -278,95 +283,113 @@ def _step_exponentials(rows: np.ndarray, dt: float) -> np.ndarray:
     c0 = 2 Re(A01 A12 conj(A02)). Steps beyond spectral radius 0.5 are
     scaled by 2^-s and squared s times in coefficient space (Moler & Van
     Loan, SIAM Rev. 45, 3 (2003)), so a single step is exact too. A step
-    whose phase bound exceeds 2^26 rad raises ``ArithmeticError``. The
-    result is an (n, 3, 3) view of an entry-major (3, 3, n) array.
+    whose phase bound exceeds 2^26 rad raises ``ArithmeticError``.
+
+    Each window has the squarings and series length of its largest step: a
+    shorter series starts with zero coefficients, which keep (f0, f1, f2) at
+    (1, 0, 0) exactly. Returns (n, 3, 3) or (w, n, 3, 3) views of entry-major
+    (3, 3, w, n) ``out``, allocated if not given.
     """
-    a01, a02, a12 = rows * dt
+    shape = rows.shape[1:]
+    a01, a02, a12 = np.multiply(rows, np.reshape(dt, (-1, 1)), out=rows).reshape(3, -1, shape[-1])
     # a step far beyond the phase bound below may overflow here; the bound
     # check rejects its inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        s01 = a01.real**2 + a01.imag**2
-        s02 = a02.real**2 + a02.imag**2
-        s12 = a12.real**2 + a12.imag**2
+        s01, s02, s12 = (x.real**2 + x.imag**2 for x in (a01, a02, a12))
         # the diagonal of A^2; c1 is half its trace
         d0, d1, d2 = s01 + s02, s01 + s12, s02 + s12
         c1 = 0.5 * (d0 + d1 + d2)
-        q01, q02, q12 = a02 * a12.conj(), a01 * a12, a01.conj() * a02
+        q02 = a01 * a12
         c0 = 2.0 * (q02.real * a02.real + q02.imag * a02.imag)
-    # sqrt(tr A^2) bounds every eigenvalue of A in magnitude
-    radius = math.sqrt(2.0 * c1.max())
-    # a step's roundoff grows as ~1e-16 * radius: above 2^26 rad it passes the
-    # 1e-8 rad that _AREA_TOL holds pulse areas to ("not <=" also rejects NaN)
-    if not radius <= 2.0**26:
-        raise ArithmeticError(f"step phase bound {radius} rad exceeds 2**26 rad; use more steps")
-    squarings = math.ceil(math.log2(radius / 0.5)) if radius > 0.5 else 0
-    c1 = c1 * 0.25**squarings
-    c0 = c0 * 0.125**squarings
-    radius = radius * 0.5**squarings
-    # the first omitted term, radius^(terms+1)/(terms+1)!, is below 1e-17
-    terms, omitted = 0, radius
-    while omitted > 1e-17:
-        terms += 1
-        omitted *= radius / (terms + 1)
+    squarings, terms = [], []
+    for peak in c1.max(axis=-1).tolist():
+        # sqrt(tr A^2) bounds every eigenvalue of A in magnitude
+        radius = math.sqrt(2.0 * peak)
+        # roundoff grows as ~1e-16 * radius: above 2^26 rad it passes the
+        # 1e-8 rad of _AREA_TOL ("not <=" also rejects NaN)
+        if not radius <= 2.0**26:
+            raise ArithmeticError(
+                f"step phase bound {radius} rad exceeds 2**26 rad; use more steps"
+            )
+        squarings.append(math.ceil(math.log2(radius / 0.5)) if radius > 0.5 else 0)
+        radius = radius * 0.5 ** squarings[-1]
+        # the first omitted term, radius^(terms+1)/(terms+1)!, is below 1e-17
+        count, omitted = 0, radius
+        while omitted > 1e-17:
+            count += 1
+            omitted *= radius / (count + 1)
+        terms.append(count)
+    lengths, s = np.reshape(terms, (-1, 1)), np.reshape(squarings, (-1, 1))  # per window
+    c1 = c1 * np.ldexp(1.0, -2 * s)
+    c0 = c0 * np.ldexp(1.0, -3 * s)
     # Horner on the scaled A: f <- I + (-i/k) A f, where
     # A (f0 I + f1 A + f2 A^2) = c0 f2 I + (f0 + c1 f2) A + f1 A^2
-    f0 = np.ones(a01.shape, dtype=complex)
-    f1 = np.zeros_like(f0)
-    f2 = np.zeros_like(f0)
-    for k in range(terms, 0, -1):
-        x = -1j / k
+    f0 = np.ones(c1.shape, dtype=complex)
+    f1, f2 = np.zeros_like(f0), np.zeros_like(f0)
+    for k in range(max(terms), 0, -1):
+        x = -1j / k if k <= min(terms) else np.where(lengths >= k, -1j / k, 0j)
         f0, f1, f2 = 1.0 + x * c0 * f2, x * (f0 + c1 * f2), x * f1
-    for _ in range(squarings):
-        f0, f1, f2 = (
+    for i in range(max(squarings)):
+        squared = (
             f0 * f0 + 2.0 * c0 * f1 * f2,
             2.0 * f0 * f1 + 2.0 * c1 * f1 * f2 + c0 * f2 * f2,
             2.0 * f0 * f2 + f1 * f1 + c1 * f2 * f2,
         )
-    f1 = f1 * 0.5**squarings
-    f2 = f2 * 0.25**squarings
+        f0, f1, f2 = (np.where(s > i, new, old) for new, old in zip(squared, (f0, f1, f2)))
+    f1 *= np.ldexp(1.0, -s)
+    f2 *= np.ldexp(1.0, -2 * s)
     # f0 I + f1 A + f2 A^2, entry by entry; A and A^2 are Hermitian
-    e = np.empty((3, 3) + f0.shape, dtype=complex)
+    q01, q12 = a02 * a12.conj(), a01.conj() * a02
+    e = np.empty((3, 3) + f0.shape, dtype=complex) if out is None else out
     for i, d in enumerate((d0, d1, d2)):
-        e[i, i] = f2 * d + f0
+        np.add(np.multiply(f2, d, out=e[i, i]), f0, out=e[i, i])
     for (i, j), a, q in zip(_UPPER, (a01, a02, a12), (q01, q02, q12)):
-        e[i, j] = f1 * a + f2 * q
-        e[j, i] = f1 * a.conj() + f2 * q.conj()
-    return e.transpose(2, 0, 1)
+        np.add(np.multiply(f1, a, out=e[i, j]), f2 * q, out=e[i, j])
+        np.add(np.multiply(f1, a.conj(), out=e[j, i]), f2 * q.conj(), out=e[j, i])
+    return e.transpose(2, 3, 0, 1).reshape(shape + (3, 3))
 
 
-def propagate(
-    fields: CouplingSet, window: tuple[float, float], grid: TimeGrid
-) -> np.ndarray:
+def _propagate(drives: list[CouplingSet], windows: list, grid: TimeGrid) -> np.ndarray:
+    """``propagate`` for w drive sets, each over its own window, in one chunk
+    loop: (w, 3, 3), each bit for bit what ``propagate`` gives it alone."""
+    steps = grid.steps
+    for t0, t1 in windows:
+        if not t1 > t0:
+            raise ValueError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
+    t0, t1 = np.array(windows, dtype=float).T[:, :, None]
+    dt = (t1 - t0) / steps
+    u = np.tile(np.eye(3, dtype=complex), (len(windows), 1, 1))
+    # one buffer for every call's exponentials: fresh ones had their pages faulted in
+    stack = np.empty(9 * min(len(windows) * min(steps, _CHUNK), _CALL_STEPS), dtype=complex)
+    for first in range(0, steps, _CHUNK):
+        t_mid = t0 + (np.arange(first, min(first + _CHUNK, steps)) + 0.5) * dt
+        rows = np.stack([_drive_rows(t, fields) for t, fields in zip(t_mid, drives)], axis=1)
+        finite = np.isfinite(rows).all(axis=0)
+        if not finite.all():
+            bad = float(t_mid.flat[np.argmin(finite)])
+            raise ArithmeticError(f"non-finite drive amplitude at t = {bad}")
+        width = max(1, _CALL_STEPS // t_mid.shape[-1])  # windows per call
+        for k in range(0, len(windows), width):
+            group = slice(k, k + width)
+            part = rows[:, group]
+            out = stack[: part.size * 3].reshape((3,) + part.shape)
+            u[group] = _ordered_product(_step_exponentials(part, dt[group], out=out)) @ u[group]
+    # The product adds up each step's ~2e-16 unitarity defect, to ~3.1e-13 at
+    # 4096 and ~9.5e-13 at 16384 steps per step against a 1e-12 bound. The exact
+    # propagator is unitary, so this polar projection removes only that noise.
+    w, _, vh = np.linalg.svd(u)
+    return w @ vh
+
+
+def propagate(fields: CouplingSet, window: tuple[float, float], grid: TimeGrid) -> np.ndarray:
     """Time-ordered evolution over ``window``, second-order in the step size.
 
     Each sub-interval applies the exponential of the midpoint-evaluated
     Hamiltonian. Midpoints are taken ``_CHUNK`` at a time: per chunk the
-    three drive rows (``_drive_rows``), the step exponentials in closed form
-    from them (``_step_exponentials``) and a pairwise time-ordered product;
-    chunks are multiplied in order, so memory does not grow with
-    ``grid.steps``.
+    drive rows, their step exponentials (``_step_exponentials``) and a
+    pairwise time-ordered product. Memory does not grow with ``grid.steps``.
     """
-    t0, t1 = window
-    if not t1 > t0:
-        raise ValueError(f"window must satisfy t1 > t0, got ({t0}, {t1})")
-    dt = (t1 - t0) / grid.steps
-    u = np.eye(3, dtype=complex)
-    for first in range(0, grid.steps, _CHUNK):
-        t_mid = t0 + (np.arange(first, min(first + _CHUNK, grid.steps)) + 0.5) * dt
-        rows = _drive_rows(t_mid, fields)
-        finite = np.isfinite(rows).all(axis=0)
-        if not finite.all():
-            bad = float(t_mid[np.argmin(finite)])
-            raise ArithmeticError(f"non-finite drive amplitude at t = {bad}")
-        u = _ordered_product(_step_exponentials(rows, dt)) @ u
-    # Each step exponential is unitary to ~2e-16 and the product adds up
-    # that roundoff: without this polar projection 4000 steps drift to
-    # ~4.6e-13 per window, and the protocol to ~3.1e-13 at 4096 and
-    # ~9.5e-13 at 16384 steps per step, close to the 1e-12 unitarity a
-    # propagated protocol is held to. The exact propagator is unitary, so
-    # the projection removes only that noise.
-    w, _, vh = np.linalg.svd(u)
-    return w @ vh
+    return _propagate([fields], [window], grid)[0]
 
 
 def _check_areas(schedule: PulseSchedule) -> None:
@@ -385,15 +408,12 @@ def _check_areas(schedule: PulseSchedule) -> None:
 
 
 @lru_cache(maxsize=128)
-def _protocol_unitary(
-    schedule: PulseSchedule, chirality: Chirality, steps: int
-) -> np.ndarray:
-    u = np.eye(3, dtype=complex)
-    for envelope, couplings in zip(schedule.steps, step_couplings(schedule)):
-        fields = signed_couplings(couplings, chirality)
-        window = (envelope.t_start, envelope.t_end)
-        u = propagate(fields, window, TimeGrid(steps)) @ u
-    return u
+def _protocol_unitary(schedule: PulseSchedule, steps: int) -> dict[Chirality, np.ndarray]:
+    """Both enantiomers' U_C @ (U_B @ (U_A @ I)), their six steps in one pass."""
+    drives = [signed_couplings(c, q) for c in step_couplings(schedule) for q in Chirality]
+    windows = [(step.t_start, step.t_end) for step in schedule.steps for _ in Chirality]
+    u_a, u_b, u_c = _propagate(drives, windows, TimeGrid(steps)).reshape(3, len(Chirality), 3, 3)
+    return dict(zip(Chirality, u_c @ (u_b @ (u_a @ np.eye(3, dtype=complex)))))
 
 
 def run_protocol(
@@ -401,7 +421,7 @@ def run_protocol(
 ) -> np.ndarray:
     """Propagate the full three-step protocol with chirality-signed drives."""
     _check_areas(schedule)
-    return _protocol_unitary(schedule, chirality, steps_per_step).copy()
+    return _protocol_unitary(schedule, steps_per_step)[chirality].copy()
 
 
 def apply_to_density(u: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -41,6 +41,8 @@ from ctlsim.propagator import (
 from .conftest import bright_state
 
 SHAPES = ("rectangular", "gaussian", "sin_squared")
+# step C areas congruent to -pi/4 mod pi, as the pulses benchmark draws them
+STEP_C_AREAS = (-np.pi / 4.0, 0.75 * np.pi, 1.75 * np.pi)
 
 
 def envelope(shape: str, area: float, duration: float = 1e-7) -> PulseEnvelope:
@@ -652,6 +654,58 @@ class TestStepExponentials:
                 assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-12
 
 
+def window_fold(schedule: PulseSchedule, chirality: Chirality, steps: int) -> np.ndarray:
+    """The protocol as three one-window ``propagate`` calls, U_C @ (U_B @ (U_A @ I))."""
+    u = np.eye(3, dtype=complex)
+    for step, couplings in zip(schedule.steps, step_couplings(schedule)):
+        fields = signed_couplings(couplings, chirality)
+        u = propagate(fields, (step.t_start, step.t_end), TimeGrid(steps)) @ u
+    return u
+
+
+class TestOnePassProtocol:
+    """Both enantiomers' six step windows share one chunk loop, bit for bit."""
+
+    # 1 to 7 steps give the windows different squaring counts; the rest end
+    # a chunk early, exactly, late and in a third chunk
+    @pytest.mark.parametrize("steps", [1, 2, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 8])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equals_one_window_fold(self, shape, steps):
+        for area in STEP_C_AREAS:
+            schedule = ideal_schedule(shape, step_c_area=area)
+            for chirality in Chirality:
+                u = run_protocol(schedule, chirality, steps)
+                assert np.array_equal(u, window_fold(schedule, chirality, steps))
+
+    def test_one_miss_serves_both_enantiomers(self):
+        schedule = ideal_schedule("sin_squared", t_start=3.125e-6, gap=2.5e-9)
+        misses = _protocol_unitary.cache_info().misses
+        left = run_protocol(schedule, Chirality.L, 300)
+        right = run_protocol(schedule, Chirality.R, 300)
+        assert _protocol_unitary.cache_info().misses == misses + 1
+        assert not np.shares_memory(left, right)
+        for u in (left, right):
+            assert u.flags.writeable and u.flags.owndata
+        expected_left, expected_right = left.copy(), right.copy()
+        left[...] = 0.0
+        assert np.array_equal(right, expected_right)
+        assert np.array_equal(run_protocol(schedule, Chirality.L, 300), expected_left)
+
+    def test_stacked_windows_match_each_window_alone(self):
+        # windows that need no series, a short one, a long one and squarings
+        rng = np.random.default_rng(11)
+        windows = [np.zeros((3, 37), dtype=complex)]
+        windows += [upper_rows(zero_diagonal_hermitian(rng, 37, s)) for s in (1e-7, 0.3, 15.0)]
+        rows = np.stack(windows, axis=1)
+        dt = np.array([[1.0], [0.5], [2.0], [0.25]])
+        stacked = _step_exponentials(rows.copy(), dt)
+        products = _ordered_product(stacked)
+        for k in range(len(dt)):
+            alone = _step_exponentials(rows[:, k].copy(), float(dt[k, 0]))
+            assert np.array_equal(stacked[k], alone)
+            assert np.array_equal(products[k], _ordered_product(alone))
+
+
 class TestRunProtocol:
     @pytest.mark.parametrize("chirality", [Chirality.L, Chirality.R])
     def test_rectangular_matches_analytic(self, chirality):
@@ -683,6 +737,11 @@ class TestRunProtocol:
         pop_standard = np.diag(apply_to_density(standard, rho)).real
         pop_alternate = np.diag(apply_to_density(alternate, rho)).real
         assert pop_standard == pytest.approx(pop_alternate, abs=1e-8)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_bad_step_count_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            run_protocol(ideal_schedule(), Chirality.L, steps)
 
 
 class TestApplyToDensity:

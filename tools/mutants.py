@@ -128,6 +128,21 @@ MUTANTS = (
         "odd[0] += sign * coupling[0]",
         "odd[0] += sign * coupling[1:2].sum()",
     ),
+    # The protocol's six step windows, stacked in one pass, given the longest
+    # series or the most squarings of any window: still exponentials to
+    # roundoff, but no longer bit for bit those of each window alone
+    (
+        "windows-one-taylor-length",
+        "ctlsim/propagator.py",
+        "np.where(lengths >= k, -1j / k, 0j)",
+        "-1j / k",
+    ),
+    (
+        "windows-one-squaring-count",
+        "ctlsim/propagator.py",
+        "np.reshape(squarings, (-1, 1))",
+        "np.full((len(squarings), 1), max(squarings))",
+    ),
 )
 
 

@@ -9,9 +9,10 @@ The protocol's two rules live here and nowhere else:
   (1,3) amplitude, so the loop phases arg(W12 * W23 * conj(W13)) of the
   two enantiomers differ by pi.
 
-``signed_couplings`` applies the sign rule to drives and ``step_unitaries``
-to the step areas. Under it the protocol returns left-handed molecules to
-the ground state and transfers right-handed ones from |1> to |2>.
+``signed_couplings`` applies the sign rule to drives, ``step_unitaries`` to the
+step areas, and ``_mirror_13`` to operators U of drives on (1,3) alone as the
+gauge D U D, D = diag(1, 1, -1). Under it the protocol returns left-handed
+molecules to the ground state and transfers right-handed ones from |1> to |2>.
 
 A drive is its Rabi function W_nm(t): the ``CouplingSet`` slot it fills,
 ``drive_12``, ``drive_23`` or ``drive_13``, says which transition it couples.
@@ -84,6 +85,14 @@ def _signed_13(value, chirality: Chirality):
     sees it, negated for the left-handed one and unchanged for the
     right-handed one."""
     return -value if chirality is Chirality.L else value
+
+
+def _mirror_13(u: np.ndarray, chirality: Chirality) -> None:
+    """The sign rule, in place, on a (..., 3, 3) stack of operators of drives on
+    (1,3) alone, for which H_L = -H_R = D H_R D with D = diag(1, 1, -1): for L,
+    D u D, level 3's couplings to levels 1 and 2 signed by ``_signed_13``."""
+    u[..., :2, 2] = _signed_13(u[..., :2, 2], chirality)
+    u[..., 2, :2] = _signed_13(u[..., 2, :2], chirality)
 
 
 def signed_couplings(base: CouplingSet, chirality: Chirality) -> CouplingSet:

@@ -20,8 +20,11 @@ exponentials. Stacks of step matrices are entry-major, (3, 3, w, n) for w
 windows of n steps: a 3x3 product over a stack is three broadcast
 multiply-adds of contiguous vectors (``_matmul``).
 
-A protocol is one pass: both enantiomers' steps A, B and C are six windows
-of one chunk loop (``_propagate``), cached together (``_protocol_unitary``).
+A protocol is one pass over the right-handed steps A, B and C (``_propagate``)
+for both enantiomers (``_protocol_unitary``). B does not drive (1,3) and serves
+both. A and C drive it alone: the left-handed ones are the right-handed ones
+under the gauge ``ctls._mirror_13``, taken before ``_polar`` projects, as the
+projection absorbs the zero signs in which direct left-handed products differ.
 A kernel call costs about as much in fixed numpy overhead as in arithmetic
 on 1024 steps, so windows share calls of at most ``_CALL_STEPS`` window-steps.
 Each window keeps its own chunks, series length and squarings: its unitary
@@ -36,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ctls import _STEP_AREAS, Chirality, CouplingSet, signed_couplings, zero_drive
+from .ctls import _STEP_AREAS, Chirality, CouplingSet, _mirror_13, signed_couplings, zero_drive
 
 __all__ = [
     "PulseEnvelope",
@@ -131,6 +134,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise TypeError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -350,8 +355,8 @@ def _step_exponentials(rows: np.ndarray, dt, out: np.ndarray | None = None) -> n
 
 
 def _propagate(drives: list[CouplingSet], windows: list, grid: TimeGrid) -> np.ndarray:
-    """``propagate`` for w drive sets, each over its own window, in one chunk
-    loop: (w, 3, 3), each bit for bit what ``propagate`` gives it alone."""
+    """The unprojected step products of w drive sets over their own windows in
+    one chunk loop: (w, 3, 3), each bit for bit what the loop gives it alone."""
     steps = grid.steps
     for t0, t1 in windows:
         if not t1 > t0:
@@ -374,9 +379,12 @@ def _propagate(drives: list[CouplingSet], windows: list, grid: TimeGrid) -> np.n
             part = rows[:, group]
             out = stack[: part.size * 3].reshape((3,) + part.shape)
             u[group] = _ordered_product(_step_exponentials(part, dt[group], out=out)) @ u[group]
-    # The product adds up each step's ~2e-16 unitarity defect, to ~3.1e-13 at
-    # 4096 and ~9.5e-13 at 16384 steps per step against a 1e-12 bound. The exact
-    # propagator is unitary, so this polar projection removes only that noise.
+    return u
+
+
+def _polar(u: np.ndarray) -> np.ndarray:
+    """The unitary polar factor of each product in a (w, 3, 3) stack: its steps'
+    ~2e-16 unitarity defects add up to ~9.5e-13 in 16384 against a 1e-12 bound."""
     w, _, vh = np.linalg.svd(u)
     return w @ vh
 
@@ -389,7 +397,7 @@ def propagate(fields: CouplingSet, window: tuple[float, float], grid: TimeGrid) 
     drive rows, their step exponentials (``_step_exponentials``) and a
     pairwise time-ordered product. Memory does not grow with ``grid.steps``.
     """
-    return _propagate([fields], [window], grid)[0]
+    return _polar(_propagate([fields], [window], grid))[0]
 
 
 def _check_areas(schedule: PulseSchedule) -> None:
@@ -408,12 +416,14 @@ def _check_areas(schedule: PulseSchedule) -> None:
 
 
 @lru_cache(maxsize=128)
-def _protocol_unitary(schedule: PulseSchedule, steps: int) -> dict[Chirality, np.ndarray]:
-    """Both enantiomers' U_C @ (U_B @ (U_A @ I)), their six steps in one pass."""
-    drives = [signed_couplings(c, q) for c in step_couplings(schedule) for q in Chirality]
-    windows = [(step.t_start, step.t_end) for step in schedule.steps for _ in Chirality]
-    u_a, u_b, u_c = _propagate(drives, windows, TimeGrid(steps)).reshape(3, len(Chirality), 3, 3)
-    return dict(zip(Chirality, u_c @ (u_b @ (u_a @ np.eye(3, dtype=complex)))))
+def _protocol_unitary(schedule: PulseSchedule, grid: TimeGrid) -> dict[Chirality, np.ndarray]:
+    """Both enantiomers' U_C @ (U_B @ (U_A @ I)) from the three right-handed steps."""
+    drives = [signed_couplings(c, Chirality.R) for c in step_couplings(schedule)]
+    windows = [(step.t_start, step.t_end) for step in schedule.steps]
+    u = _propagate(drives, windows, grid)[[0, 0, 1, 2, 2]]  # A_L, A_R, B, C_L, C_R
+    _mirror_13(u[::3], Chirality.L)
+    u = _polar(u)
+    return dict(zip(Chirality, u[3:] @ (u[2] @ (u[:2] @ np.eye(3, dtype=complex)))))
 
 
 def run_protocol(
@@ -421,7 +431,8 @@ def run_protocol(
 ) -> np.ndarray:
     """Propagate the full three-step protocol with chirality-signed drives."""
     _check_areas(schedule)
-    return _protocol_unitary(schedule, steps_per_step)[chirality].copy()
+    # the grid checks the step count before the cache can match 2.0 or True to 2 or 1
+    return _protocol_unitary(schedule, TimeGrid(steps_per_step))[chirality].copy()
 
 
 def apply_to_density(u: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -155,6 +155,10 @@ class TestProtocol:
                 "protocol --steps 4096 --chirality both",
                 "42f1535fba0f7b0612ab2b8b7cd7555ca7937a4098cf6d15d6b038392b86586d",
             ),
+            (
+                "protocol --steps 13 --chirality both",
+                "2901d4cd44c4d568ae81fde2c6ac20f2e91fe1d5d4398cb9441e0cfed276864d",
+            ),
         ],
     )
     def test_bundled_csv_digest(self, capsys, monkeypatch, command, digest):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from ctlsim import propagator
 from ctlsim.ctls import (
     Chirality,
     CouplingSet,
@@ -664,18 +665,44 @@ def window_fold(schedule: PulseSchedule, chirality: Chirality, steps: int) -> np
 
 
 class TestOnePassProtocol:
-    """Both enantiomers' six step windows share one chunk loop, bit for bit."""
+    """Both enantiomers from three right-handed step windows in one chunk loop,
+    bit for bit the left-handed steps propagated directly."""
 
-    # 1 to 7 steps give the windows different squaring counts; the rest end
-    # a chunk early, exactly, late and in a third chunk
-    @pytest.mark.parametrize("steps", [1, 2, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 8])
+    # 1 to 7 steps give the windows different squaring counts, at 13 a gauge
+    # after the projection would flip a zero; the rest end a chunk early,
+    # exactly, late and in a third chunk
+    @pytest.mark.parametrize(
+        "steps", [1, 2, 7, 13, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 8]
+    )
     @pytest.mark.parametrize("shape", SHAPES)
     def test_equals_one_window_fold(self, shape, steps):
         for area in STEP_C_AREAS:
             schedule = ideal_schedule(shape, step_c_area=area)
             for chirality in Chirality:
                 u = run_protocol(schedule, chirality, steps)
-                assert np.array_equal(u, window_fold(schedule, chirality, steps))
+                # tobytes also tells the two zeros apart
+                assert u.tobytes() == window_fold(schedule, chirality, steps).tobytes()
+
+    def test_one_miss_propagates_three_windows(self, monkeypatch):
+        calls, exponentials = [], []
+        chunk_loop, kernel = propagator._propagate, propagator._step_exponentials
+
+        def spy_loop(drives, windows, grid):
+            calls.append((len(drives), len(windows), grid.steps))
+            return chunk_loop(drives, windows, grid)
+
+        def spy_kernel(rows, dt, out=None):
+            exponentials.append(rows[0].size)
+            return kernel(rows, dt, out=out)
+
+        monkeypatch.setattr(propagator, "_propagate", spy_loop)
+        monkeypatch.setattr(propagator, "_step_exponentials", spy_kernel)
+        schedule = ideal_schedule("gaussian", t_start=1.5e-6, gap=4e-9)
+        steps = 2 * _CHUNK + 8
+        for chirality in Chirality:
+            run_protocol(schedule, chirality, steps)
+        assert calls == [(3, 3, steps)]
+        assert sum(exponentials) == 3 * steps
 
     def test_one_miss_serves_both_enantiomers(self):
         schedule = ideal_schedule("sin_squared", t_start=3.125e-6, gap=2.5e-9)
@@ -742,6 +769,18 @@ class TestRunProtocol:
     def test_bad_step_count_rejected(self, steps):
         with pytest.raises(ValueError, match="steps must be >= 1"):
             run_protocol(ideal_schedule(), Chirality.L, steps)
+
+    @pytest.mark.parametrize("steps", [2.5, 2.0, True, np.bool_(True), "7", None])
+    def test_non_integer_step_count_rejected(self, steps):
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            run_protocol(ideal_schedule(), Chirality.L, steps)
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            TimeGrid(steps)
+
+    @pytest.mark.parametrize("steps", [np.int64(7), np.int32(7), np.uint16(7)])
+    def test_numpy_integer_step_count_accepted(self, steps):
+        u = run_protocol(ideal_schedule(), Chirality.R, steps)
+        assert u.tobytes() == run_protocol(ideal_schedule(), Chirality.R, 7).tobytes()
 
 
 class TestApplyToDensity:

@@ -143,6 +143,27 @@ MUTANTS = (
         "np.reshape(squarings, (-1, 1))",
         "np.full((len(squarings), 1), max(squarings))",
     ),
+    # The left-handed protocol from the right-handed windows: step B mirrored
+    # as well, A and C not mirrored, or the gauge taken after the projection,
+    # which leaves zeros of the other sign where the direct propagation has them
+    (
+        "gauge-step-b-too",
+        "ctlsim/propagator.py",
+        "_mirror_13(u[::3], Chirality.L)",
+        "_mirror_13(u[::3], Chirality.L); _mirror_13(u[2], Chirality.L)",
+    ),
+    (
+        "gauge-off",
+        "ctlsim/propagator.py",
+        "_mirror_13(u[::3], Chirality.L)",
+        "_mirror_13(u[::3], Chirality.R)",
+    ),
+    (
+        "gauge-after-projection",
+        "ctlsim/propagator.py",
+        "    _mirror_13(u[::3], Chirality.L)\n    u = _polar(u)\n",
+        "    u = _polar(u)\n    _mirror_13(u[::3], Chirality.L)\n",
+    ),
 )
 
 

@@ -26,9 +26,9 @@ both. A and C drive it alone: the left-handed ones are the right-handed ones
 under the gauge ``ctls._mirror_13``, taken before ``_polar`` projects, as the
 projection absorbs the zero signs in which direct left-handed products differ.
 A kernel call costs about as much in fixed numpy overhead as in arithmetic
-on 1024 steps, so windows share calls of at most ``_CALL_STEPS`` window-steps.
-Each window keeps its own chunks, series length and squarings: its unitary
-is bit for bit what ``propagate`` gives it alone.
+on 1024 steps, so each chunk is one call over all windows. Each window keeps
+its own series length and squarings: its unitary is bit for bit what
+``propagate`` gives it alone.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ctls import _STEP_AREAS, Chirality, CouplingSet, _mirror_13, signed_couplings, zero_drive
+from .ctls import (
+    _SQ2, _STEP_AREAS, Chirality, CouplingSet, _mirror_13, signed_couplings, zero_drive,
+)
 
 __all__ = [
     "PulseEnvelope",
@@ -63,10 +65,8 @@ _SHAPES = {
     "gaussian": math.sqrt(2.0 * math.pi) / 8.0 * math.erf(2.0 * math.sqrt(2.0)),
     "sin_squared": 0.5,
 }
-_SQ2 = 1.0 / math.sqrt(2.0)
 _AREA_TOL = 1e-8  # radians
 _CHUNK = 1024  # midpoints per Hamiltonian stack in propagate; bounds its memory
-_CALL_STEPS = 3 * _CHUNK  # window-steps per exponential call; bounds its temporaries
 
 DEFAULT_PEAK_RAD_S = 2.0 * np.pi * 1.25e6  # 100 ns quarter pulse
 
@@ -364,8 +364,8 @@ def _propagate(drives: list[CouplingSet], windows: list, grid: TimeGrid) -> np.n
     t0, t1 = np.array(windows, dtype=float).T[:, :, None]
     dt = (t1 - t0) / steps
     u = np.tile(np.eye(3, dtype=complex), (len(windows), 1, 1))
-    # one buffer for every call's exponentials: fresh ones had their pages faulted in
-    stack = np.empty(9 * min(len(windows) * min(steps, _CHUNK), _CALL_STEPS), dtype=complex)
+    # one buffer for every chunk's exponentials: fresh ones had their pages faulted in
+    stack = np.empty(9 * len(windows) * min(steps, _CHUNK), dtype=complex)
     for first in range(0, steps, _CHUNK):
         t_mid = t0 + (np.arange(first, min(first + _CHUNK, steps)) + 0.5) * dt
         rows = np.stack([_drive_rows(t, fields) for t, fields in zip(t_mid, drives)], axis=1)
@@ -373,12 +373,8 @@ def _propagate(drives: list[CouplingSet], windows: list, grid: TimeGrid) -> np.n
         if not finite.all():
             bad = float(t_mid.flat[np.argmin(finite)])
             raise ArithmeticError(f"non-finite drive amplitude at t = {bad}")
-        width = max(1, _CALL_STEPS // t_mid.shape[-1])  # windows per call
-        for k in range(0, len(windows), width):
-            group = slice(k, k + width)
-            part = rows[:, group]
-            out = stack[: part.size * 3].reshape((3,) + part.shape)
-            u[group] = _ordered_product(_step_exponentials(part, dt[group], out=out)) @ u[group]
+        out = stack[: rows.size * 3].reshape((3,) + rows.shape)
+        u = _ordered_product(_step_exponentials(rows, dt, out=out)) @ u
     return u
 
 

@@ -194,9 +194,15 @@ def default_sweep_grid(
         raise ValueError(f"need 0 < t_min_k < t_max_k < inf, got ({t_min_k}, {t_max_k})")
     if not 2 <= points <= _MAX_POINTS:
         raise ValueError(f"points must lie in [2, {_MAX_POINTS}], got {points}")
-    if log_scale:
-        return np.logspace(np.log10(t_min_k), np.log10(t_max_k), points)
-    return np.linspace(t_min_k, t_max_k, points)
+    # a bound near the float maximum can round up past it; the check names it
+    with np.errstate(over="ignore"):
+        if log_scale:
+            grid = np.logspace(np.log10(t_min_k), np.log10(t_max_k), points)
+        else:
+            grid = np.linspace(t_min_k, t_max_k, points)
+    if not np.isfinite(grid).all():
+        raise ValueError(f"t_max_k = {t_max_k} gives a non-finite grid point")
+    return grid
 
 
 def excess_sweep(

@@ -335,6 +335,24 @@ class TestScenarioHandling:
         assert out == ""
         assert "ctls.levels" in err
 
+    @pytest.mark.parametrize(
+        "command", ["levels", "populations", "protocol", "excess", "yield", "figure fig2c"]
+    )
+    def test_sweep_overflowing_floats_exit_3(self, capsys, tmp_path, command):
+        # log10 of the largest float rounds up: 10**308.2547 overflows to inf
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(
+            SMALL_SWEEP.replace("t_rot_max_k: 300.0", "t_rot_max_k: 1.7976931348623157e+308"),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, *command.split(), "--scenario", str(bad))
+        assert code == EXIT_SCHEMA
+        assert out == ""
+        assert err == (
+            "ctlsim: invalid scenario: sweep: "
+            "t_max_k = 1.7976931348623157e+308 gives a non-finite grid point\n"
+        )
+
     def test_unknown_subcommand_exit_64(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -683,7 +683,9 @@ class TestOnePassProtocol:
                 # tobytes also tells the two zeros apart
                 assert u.tobytes() == window_fold(schedule, chirality, steps).tobytes()
 
-    def test_one_miss_propagates_three_windows(self, monkeypatch):
+    # within one chunk, exactly one, and a third chunk
+    @pytest.mark.parametrize("steps", [8, _CHUNK, 2 * _CHUNK + 8])
+    def test_one_miss_propagates_three_windows(self, monkeypatch, steps):
         calls, exponentials = [], []
         chunk_loop, kernel = propagator._propagate, propagator._step_exponentials
 
@@ -692,17 +694,20 @@ class TestOnePassProtocol:
             return chunk_loop(drives, windows, grid)
 
         def spy_kernel(rows, dt, out=None):
-            exponentials.append(rows[0].size)
+            exponentials.append(rows.shape)
             return kernel(rows, dt, out=out)
 
         monkeypatch.setattr(propagator, "_propagate", spy_loop)
         monkeypatch.setattr(propagator, "_step_exponentials", spy_kernel)
         schedule = ideal_schedule("gaussian", t_start=1.5e-6, gap=4e-9)
-        steps = 2 * _CHUNK + 8
+        _protocol_unitary.cache_clear()
         for chirality in Chirality:
             run_protocol(schedule, chirality, steps)
         assert calls == [(3, 3, steps)]
-        assert sum(exponentials) == 3 * steps
+        # one kernel call per chunk, each carrying all three windows
+        assert len(exponentials) == -(-steps // _CHUNK)
+        assert all(shape[:2] == (3, 3) for shape in exponentials)
+        assert sum(shape[2] for shape in exponentials) == steps
 
     def test_one_miss_serves_both_enantiomers(self):
         schedule = ideal_schedule("sin_squared", t_start=3.125e-6, gap=2.5e-9)

@@ -128,7 +128,7 @@ MUTANTS = (
         "odd[0] += sign * coupling[0]",
         "odd[0] += sign * coupling[1:2].sum()",
     ),
-    # The protocol's six step windows, stacked in one pass, given the longest
+    # The protocol's step windows, stacked in one pass, given the longest
     # series or the most squarings of any window: still exponentials to
     # roundoff, but no longer bit for bit those of each window alone
     (
@@ -142,6 +142,13 @@ MUTANTS = (
         "ctlsim/propagator.py",
         "np.reshape(squarings, (-1, 1))",
         "np.full((len(squarings), 1), max(squarings))",
+    ),
+    # The one kernel call of a chunk given window A's step size for every window
+    (
+        "windows-one-step-size",
+        "ctlsim/propagator.py",
+        "_step_exponentials(rows, dt, out=out)",
+        "_step_exponentials(rows, dt[:1], out=out)",
     ),
     # The left-handed protocol from the right-handed windows: step B mirrored
     # as well, A and C not mirrored, or the gauge taken after the projection,

@@ -29,11 +29,18 @@ A kernel call costs about as much in fixed numpy overhead as in arithmetic
 on 1024 steps, so each chunk is one call over all windows. Each window keeps
 its own series length and squarings: its unitary is bit for bit what
 ``propagate`` gives it alone.
+
+Each thread's chunk loop works in one workspace (``_Workspace``), 1.3 MiB made
+on its first chunk for three windows of ``_CHUNK`` midpoints: the drive rows,
+the step exponentials, their coefficients and scratch, and the pairwise-product
+levels. A chunk writes into it in place, in the order of the formulas, so it
+allocates no array beside the drives' own and faults no page in again.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -223,14 +230,69 @@ def step_couplings(schedule: PulseSchedule) -> tuple[CouplingSet, CouplingSet, C
 
 # H's upper entries (row, column), in the order of the drive rows
 _UPPER = ((0, 1), (0, 2), (1, 2))
+# a chunk's step midpoints k + 1/2, in steps from its first
+_MIDPOINTS = np.arange(_CHUNK) + 0.5
 
 
-def _drive_rows(t: float | np.ndarray, fields: CouplingSet) -> np.ndarray:
-    """W12, W13, W23 at ``t``, shape (3,) + t.shape: the one place that maps
-    drives to Hamiltonian entries, in ``_UPPER`` order. A drive that returns
-    a scalar is broadcast."""
+class _Workspace:
+    """Every array of a chunk of up to ``windows`` windows of ``steps``
+    midpoints, allocated once. A chunk works on views of their leading or
+    trailing entries (``_carve``), in place:
+
+    - ``midpoints``, ``times``: the chunk's midpoints, and their times per window
+    - ``rows``, ``finite``: the drive rows and their finiteness
+    - ``real``: the diagonal of A^2, c0, c1 and a term, per step
+    - ``exponentials``: the step exponentials, entry-major (3, 3, w, n)
+    - ``scratch``: nine complex arrays per step while the exponentials are
+      formed, (A^2)_02, f0, f1 and f2, their Horner and squaring updates and
+      two terms; then the pairwise-product ``levels``, each at the other end
+      from the level it reads, and the ``term`` of a level's 3x3 products
+    """
+
+    def __init__(self, windows: int, steps: int):
+        size, half = windows * steps, -(-steps // 2)
+        self.busy = False  # a chunk loop is running in it
+        self.midpoints = np.empty(steps)
+        self.times = np.empty(size)
+        self.rows = np.empty(3 * size, dtype=complex)
+        self.finite = np.empty(3 * size, dtype=bool)
+        self.real = np.empty(6 * size)
+        self.exponentials = np.empty(9 * size, dtype=complex)
+        # the first level holds ceil(steps/2) products, the second ceil(steps/4)
+        levels = 9 * windows * (half + -(-half // 2))
+        term = 9 * windows * (steps // 2)
+        self.scratch = np.empty(max(9 * size, levels + term), dtype=complex)
+        self.levels, self.term = self.scratch[:levels], self.scratch[levels:]
+
+
+def _carve(flat: np.ndarray, shape: tuple, from_end: bool = False) -> np.ndarray:
+    """A C-ordered ``shape`` view of the leading, or trailing, entries of ``flat``."""
+    count = math.prod(shape)
+    return (flat[flat.size - count :] if from_end else flat[:count]).reshape(shape)
+
+
+# threads propagate at once, each in its own workspace
+_THREAD = threading.local()
+
+
+def _workspace() -> _Workspace:
+    """This thread's workspace, made on its first chunk for three windows, as a
+    protocol has, of ``_CHUNK`` midpoints; a fresh one while it is busy, for a
+    drive that propagates in turn."""
+    work = getattr(_THREAD, "work", None)
+    if work is None:
+        work = _THREAD.work = _Workspace(3, _CHUNK)
+    return _Workspace(3, _CHUNK) if work.busy else work
+
+
+def _drive_rows(
+    t: float | np.ndarray, fields: CouplingSet, out: np.ndarray | None = None
+) -> np.ndarray:
+    """W12, W13, W23 at ``t``, shape (3,) + t.shape, into ``out`` if given: the
+    one place that maps drives to Hamiltonian entries, in ``_UPPER`` order. A
+    drive that returns a scalar is broadcast."""
     times = np.asarray(t, dtype=float)
-    rows = np.empty((3,) + times.shape, dtype=complex)
+    rows = np.empty((3,) + times.shape, dtype=complex) if out is None else out
     rows[0] = fields.drive_12(times)
     rows[1] = fields.drive_13(times)
     rows[2] = fields.drive_23(times)
@@ -252,26 +314,48 @@ def interaction_hamiltonian(t: float | np.ndarray, fields: CouplingSet) -> np.nd
     return np.moveaxis(h, (0, 1), (-2, -1))
 
 
-def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for each step of two entry-major (3, 3, ..., n) stacks."""
-    product = x[:, 0, None] * y[None, 0]
-    product += x[:, 1, None] * y[None, 1]
-    product += x[:, 2, None] * y[None, 2]
-    return product
+def _product(out: np.ndarray, spare: np.ndarray, first, *factors) -> np.ndarray:
+    """first * factors[0] * factors[1] * ..., left to right, into ``out``, the
+    partial products alternating with ``spare`` so that none is written over
+    one of its factors: numpy multiplies one-element complex arrays in place by
+    another loop than out of place, and the two round differently."""
+    buffers = (out, spare) if len(factors) % 2 else (spare, out)
+    for i, factor in enumerate(factors):
+        first = np.multiply(first, factor, out=buffers[i % 2])
+    return out
 
 
-def _ordered_product(u: np.ndarray) -> np.ndarray:
+def _matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """x @ y for each step of two entry-major (3, 3, ..., n) stacks, into
+    ``out``, with ``term`` of its shape as scratch."""
+    np.multiply(x[:, 0, None], y[None, 0], out=out)
+    np.add(out, np.multiply(x[:, 1, None], y[None, 1], out=term), out=out)
+    np.add(out, np.multiply(x[:, 2, None], y[None, 2], out=term), out=out)
+    return out
+
+
+def _ordered_product(u: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
     """u[n-1] @ ... @ u[1] @ u[0] of an (..., n, 3, 3) stack, by pairwise
-    halving along the step axis of its entry-major view."""
+    halving along the step axis of its entry-major view; a level of odd length
+    carries its last step up unpaired. The levels are in ``work``, a workspace
+    of their own if not given, and the result is a view of the last one."""
     u = np.moveaxis(u, (-2, -1), (0, 1))
+    if work is None:
+        work = _Workspace(math.prod(u.shape[2:-1]), u.shape[-1])
+    at_end = True
     while u.shape[-1] > 1:
-        n = u.shape[-1]
-        paired = _matmul(u[..., 1::2], u[..., 0 : n - 1 : 2])
-        u = np.concatenate((paired, u[..., -1:]), axis=-1) if n % 2 else paired
+        n, stack = u.shape[-1], u.shape[:-1]
+        at_end = not at_end
+        level = _carve(work.levels, stack + (n - n // 2,), at_end)
+        term = _carve(work.term, stack + (n // 2,))
+        _matmul(u[..., 1::2], u[..., 0 : n - 1 : 2], level[..., : n // 2], term)
+        if n % 2:
+            level[..., -1] = u[..., -1]
+        u = level
     return np.moveaxis(u[..., 0], (0, 1), (-2, -1))
 
 
-def _step_exponentials(rows: np.ndarray, dt, out: np.ndarray | None = None) -> np.ndarray:
+def _step_exponentials(rows: np.ndarray, dt, work: _Workspace | None = None) -> np.ndarray:
     """exp(-i h dt) for each step of a zero-diagonal Hermitian h given by its
     drive rows, shape (3, n), or (3, w, n) for w windows with a float ``dt``
     or one per window, shape (w, 1): the upper entries h01, h02, h12
@@ -292,20 +376,31 @@ def _step_exponentials(rows: np.ndarray, dt, out: np.ndarray | None = None) -> n
 
     Each window has the squarings and series length of its largest step: a
     shorter series starts with zero coefficients, which keep (f0, f1, f2) at
-    (1, 0, 0) exactly. Returns (n, 3, 3) or (w, n, 3, 3) views of entry-major
-    (3, 3, w, n) ``out``, allocated if not given.
+    (1, 0, 0) exactly. Every array is in ``work``, a workspace of its own if
+    not given, where each formula is evaluated in its written order and each
+    complex product out of place (``_product``). Returns (n, 3, 3) or
+    (w, n, 3, 3) views of its entry-major (3, 3, w, n) exponentials.
     """
     shape = rows.shape[1:]
     a01, a02, a12 = np.multiply(rows, np.reshape(dt, (-1, 1)), out=rows).reshape(3, -1, shape[-1])
+    if work is None:
+        work = _Workspace(*a01.shape)
+    d0, d1, d2, c0, c1, t = _carve(work.real, (6,) + a01.shape)
+    q02, f0, f1, f2, g, h, p, term, spare = _carve(work.scratch, (9,) + a01.shape)
     # a step far beyond the phase bound below may overflow here; the bound
     # check rejects its inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        s01, s02, s12 = (x.real**2 + x.imag**2 for x in (a01, a02, a12))
-        # the diagonal of A^2; c1 is half its trace
-        d0, d1, d2 = s01 + s02, s01 + s12, s02 + s12
-        c1 = 0.5 * (d0 + d1 + d2)
-        q02 = a01 * a12
-        c0 = 2.0 * (q02.real * a02.real + q02.imag * a02.imag)
+        # |A01|^2, |A02|^2, |A12|^2 in d0, c1, d1, then the diagonal of A^2
+        for x, s in zip((a01, a02, a12), (d0, c1, d1)):
+            np.add(np.square(x.real, out=s), np.square(x.imag, out=t), out=s)
+        np.add(c1, d1, out=d2)
+        np.add(d0, d1, out=d1)
+        np.add(d0, c1, out=d0)
+        # c1 is half the trace of A^2
+        np.multiply(0.5, np.add(np.add(d0, d1, out=c1), d2, out=c1), out=c1)
+        np.multiply(a01, a12, out=q02)
+        np.multiply(q02.real, a02.real, out=c0)
+        np.multiply(2.0, np.add(c0, np.multiply(q02.imag, a02.imag, out=t), out=c0), out=c0)
     squarings, terms = [], []
     for peak in c1.max(axis=-1).tolist():
         # sqrt(tr A^2) bounds every eigenvalue of A in magnitude
@@ -325,38 +420,58 @@ def _step_exponentials(rows: np.ndarray, dt, out: np.ndarray | None = None) -> n
             omitted *= radius / (count + 1)
         terms.append(count)
     lengths, s = np.reshape(terms, (-1, 1)), np.reshape(squarings, (-1, 1))  # per window
-    c1 = c1 * np.ldexp(1.0, -2 * s)
-    c0 = c0 * np.ldexp(1.0, -3 * s)
+    if max(squarings):  # real products by 1.0 change nothing
+        np.multiply(c1, np.ldexp(1.0, -2 * s), out=c1)
+        np.multiply(c0, np.ldexp(1.0, -3 * s), out=c0)
     # Horner on the scaled A: f <- I + (-i/k) A f, where
     # A (f0 I + f1 A + f2 A^2) = c0 f2 I + (f0 + c1 f2) A + f1 A^2
-    f0 = np.ones(c1.shape, dtype=complex)
-    f1, f2 = np.zeros_like(f0), np.zeros_like(f0)
+    f0.fill(1.0)
+    f1.fill(0.0)
+    f2.fill(0.0)
+    # c0 and c1 cast to complex once, not by each Horner product that reads them
+    z0, z1 = p, spare
+    np.copyto(z0, c0)
+    np.copyto(z1, c1)
     for k in range(max(terms), 0, -1):
         x = -1j / k if k <= min(terms) else np.where(lengths >= k, -1j / k, 0j)
-        f0, f1, f2 = 1.0 + x * c0 * f2, x * (f0 + c1 * f2), x * f1
+        # the new f0 and f1 go to g and h, then f2 is overwritten: both read it
+        np.add(1.0, _product(g, term, x, z0, f2), out=g)
+        np.multiply(x, np.add(f0, np.multiply(z1, f2, out=term), out=term), out=h)
+        np.multiply(x, f1, out=f2)
+        f0, f1, g, h = g, h, f0, f1
     for i in range(max(squarings)):
-        squared = (
-            f0 * f0 + 2.0 * c0 * f1 * f2,
-            2.0 * f0 * f1 + 2.0 * c1 * f1 * f2 + c0 * f2 * f2,
-            2.0 * f0 * f2 + f1 * f1 + c1 * f2 * f2,
-        )
-        f0, f1, f2 = (np.where(s > i, new, old) for new, old in zip(squared, (f0, f1, f2)))
-    f1 *= np.ldexp(1.0, -s)
-    f2 *= np.ldexp(1.0, -2 * s)
+        # (f0, f1, f2) squared, into g, h and p
+        np.add(_product(g, term, f0, f0), _product(term, spare, 2.0, c0, f1, f2), out=g)
+        np.add(_product(h, p, 2.0, f0, f1), _product(term, spare, 2.0, c1, f1, f2), out=h)
+        np.add(h, _product(term, spare, c0, f2, f2), out=h)
+        np.add(_product(p, term, 2.0, f0, f2), _product(term, spare, f1, f1), out=p)
+        np.add(p, _product(term, spare, c1, f2, f2), out=p)
+        for f, squared in zip((f0, f1, f2), (g, h, p)):
+            np.copyto(f, squared, where=s > i)
+    # f1 and f2 are scaled even by 1, as a complex product by 1 can flip the
+    # sign of a zero; window by window, as numpy would copy a (w, 1) factor
+    # through its broadcast buffers
+    for k, count in enumerate(squarings):
+        f1[k] *= math.ldexp(1.0, -count)
+        f2[k] *= math.ldexp(1.0, -2 * count)
     # f0 I + f1 A + f2 A^2, entry by entry; A and A^2 are Hermitian
-    q01, q12 = a02 * a12.conj(), a01.conj() * a02
-    e = np.empty((3, 3) + f0.shape, dtype=complex) if out is None else out
+    q01 = np.multiply(a02, np.conjugate(a12, out=term), out=g)
+    q12 = np.multiply(np.conjugate(a01, out=term), a02, out=h)
+    e = _carve(work.exponentials, (3, 3) + f0.shape)
     for i, d in enumerate((d0, d1, d2)):
         np.add(np.multiply(f2, d, out=e[i, i]), f0, out=e[i, i])
     for (i, j), a, q in zip(_UPPER, (a01, a02, a12), (q01, q02, q12)):
-        np.add(np.multiply(f1, a, out=e[i, j]), f2 * q, out=e[i, j])
-        np.add(np.multiply(f1, a.conj(), out=e[j, i]), f2 * q.conj(), out=e[j, i])
+        np.add(np.multiply(f1, a, out=e[i, j]), np.multiply(f2, q, out=term), out=e[i, j])
+        np.multiply(f1, np.conjugate(a, out=term), out=e[j, i])
+        np.add(e[j, i], np.multiply(f2, np.conjugate(q, out=term), out=spare), out=e[j, i])
     return e.transpose(2, 3, 0, 1).reshape(shape + (3, 3))
 
 
 def _propagate(drives: list[CouplingSet], windows: list, grid: TimeGrid) -> np.ndarray:
-    """The unprojected step products of w drive sets over their own windows in
-    one chunk loop: (w, 3, 3), each bit for bit what the loop gives it alone."""
+    """The unprojected step products of w <= 3 drive sets over their own windows
+    in one chunk loop: (w, 3, 3), each bit for bit what the loop gives it alone.
+    Every chunk works in this thread's workspace and allocates no array but
+    the drives' own."""
     steps = grid.steps
     for t0, t1 in windows:
         if not t1 > t0:
@@ -364,17 +479,24 @@ def _propagate(drives: list[CouplingSet], windows: list, grid: TimeGrid) -> np.n
     t0, t1 = np.array(windows, dtype=float).T[:, :, None]
     dt = (t1 - t0) / steps
     u = np.tile(np.eye(3, dtype=complex), (len(windows), 1, 1))
-    # one buffer for every chunk's exponentials: fresh ones had their pages faulted in
-    stack = np.empty(9 * len(windows) * min(steps, _CHUNK), dtype=complex)
-    for first in range(0, steps, _CHUNK):
-        t_mid = t0 + (np.arange(first, min(first + _CHUNK, steps)) + 0.5) * dt
-        rows = np.stack([_drive_rows(t, fields) for t, fields in zip(t_mid, drives)], axis=1)
-        finite = np.isfinite(rows).all(axis=0)
-        if not finite.all():
-            bad = float(t_mid.flat[np.argmin(finite)])
-            raise ArithmeticError(f"non-finite drive amplitude at t = {bad}")
-        out = stack[: rows.size * 3].reshape((3,) + rows.shape)
-        u = _ordered_product(_step_exponentials(rows, dt, out=out)) @ u
+    work = _workspace()
+    work.busy = True
+    try:
+        for first in range(0, steps, _CHUNK):
+            n = min(_CHUNK, steps - first)
+            midpoints = np.add(_MIDPOINTS[:n], first, out=work.midpoints[:n])
+            times = _carve(work.times, (len(windows), n))
+            np.add(t0, np.multiply(midpoints, dt, out=times), out=times)
+            rows = _carve(work.rows, (3,) + times.shape)
+            for k, fields in enumerate(drives):
+                _drive_rows(times[k], fields, out=rows[:, k])
+            finite = np.isfinite(rows, out=_carve(work.finite, rows.shape))
+            if not finite.all():
+                bad = float(times.flat[np.argmin(finite.all(axis=0))])
+                raise ArithmeticError(f"non-finite drive amplitude at t = {bad}")
+            u = _ordered_product(_step_exponentials(rows, dt, work), work) @ u
+    finally:
+        work.busy = False
     return u
 
 
@@ -391,7 +513,8 @@ def propagate(fields: CouplingSet, window: tuple[float, float], grid: TimeGrid) 
     Each sub-interval applies the exponential of the midpoint-evaluated
     Hamiltonian. Midpoints are taken ``_CHUNK`` at a time: per chunk the
     drive rows, their step exponentials (``_step_exponentials``) and a
-    pairwise time-ordered product. Memory does not grow with ``grid.steps``.
+    pairwise time-ordered product, all in the calling thread's workspace,
+    1.3 MiB made on its first chunk. Memory does not grow with ``grid.steps``.
     """
     return _polar(_propagate([fields], [window], grid))[0]
 

@@ -1,5 +1,7 @@
 import math
 import re
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +13,11 @@ from scipy.linalg import expm
 
 from ctlsim import propagator
 from ctlsim.ctls import (
+    _SQ2,
     Chirality,
     CouplingSet,
+    _pulse_13,
+    _signed_13,
     constant_drive,
     signed_couplings,
     step_unitaries,
@@ -693,9 +698,9 @@ class TestOnePassProtocol:
             calls.append((len(drives), len(windows), grid.steps))
             return chunk_loop(drives, windows, grid)
 
-        def spy_kernel(rows, dt, out=None):
+        def spy_kernel(rows, dt, work=None):
             exponentials.append(rows.shape)
-            return kernel(rows, dt, out=out)
+            return kernel(rows, dt, work)
 
         monkeypatch.setattr(propagator, "_propagate", spy_loop)
         monkeypatch.setattr(propagator, "_step_exponentials", spy_kernel)
@@ -724,18 +729,168 @@ class TestOnePassProtocol:
         assert np.array_equal(run_protocol(schedule, Chirality.L, 300), expected_left)
 
     def test_stacked_windows_match_each_window_alone(self):
-        # windows that need no series, a short one, a long one and squarings
+        # windows that need no series, a short one, a long one and squarings;
+        # a window of one step alone is a one-element chunk, which numpy
+        # rounds differently if a complex product is written over a factor
         rng = np.random.default_rng(11)
-        windows = [np.zeros((3, 37), dtype=complex)]
-        windows += [upper_rows(zero_diagonal_hermitian(rng, 37, s)) for s in (1e-7, 0.3, 15.0)]
-        rows = np.stack(windows, axis=1)
-        dt = np.array([[1.0], [0.5], [2.0], [0.25]])
-        stacked = _step_exponentials(rows.copy(), dt)
-        products = _ordered_product(stacked)
-        for k in range(len(dt)):
-            alone = _step_exponentials(rows[:, k].copy(), float(dt[k, 0]))
-            assert np.array_equal(stacked[k], alone)
-            assert np.array_equal(products[k], _ordered_product(alone))
+        for steps in (1, 37):
+            windows = [np.zeros((3, steps), dtype=complex)]
+            windows += [
+                upper_rows(zero_diagonal_hermitian(rng, steps, s)) for s in (1e-7, 0.3, 15.0)
+            ]
+            rows = np.stack(windows, axis=1)
+            dt = np.array([[1.0], [0.5], [2.0], [0.25]])
+            stacked = _step_exponentials(rows.copy(), dt)
+            products = _ordered_product(stacked)
+            for k in range(len(dt)):
+                alone = _step_exponentials(rows[:, k].copy(), float(dt[k, 0]))
+                assert np.array_equal(stacked[k], alone)
+                assert np.array_equal(products[k], _ordered_product(alone))
+
+
+def midpoint_area(step: PulseEnvelope, steps: int) -> float:
+    """Q_N, the midpoint sum of a step's envelope over its window in N steps."""
+    dt = step.duration / steps
+    return float(np.sum(step(step.t_start + (np.arange(steps) + 0.5) * dt)) * dt)
+
+
+def closed_form_protocol(schedule: PulseSchedule, chirality: Chirality, steps: int) -> np.ndarray:
+    """U_C @ U_B @ U_A with each step exp(-i Q_N M) in closed form: A and C drive
+    (1,3) alone, and B's M, with (1,2) entry i/sqrt(2) and (2,3) entry
+    1/sqrt(2), has eigenvalues 0 and +-1."""
+    area_a, area_b, area_c = (midpoint_area(step, steps) for step in schedule.steps)
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 1], m[1, 2] = 1j * _SQ2, _SQ2
+    m += m.conj().T
+    u_b = np.eye(3) - 1j * np.sin(area_b) * m + (np.cos(area_b) - 1.0) * (m @ m)
+    u_a, u_c = (_pulse_13(_signed_13(area, chirality)) for area in (area_a, area_c))
+    return u_c @ u_b @ u_a
+
+
+@st.composite
+def valid_schedules(draw) -> PulseSchedule:
+    """Three steps of any shapes, durations and gaps with the protocol's areas,
+    step C's drawn from (k + 3/4) pi."""
+    t = draw(st.floats(0.0, 1e-6))
+    steps = []
+    for area in (np.pi / 4.0, np.pi / 2.0, (draw(st.integers(-3, 3)) + 0.75) * np.pi):
+        unit = PulseEnvelope(draw(st.sampled_from(SHAPES)), 1.0, t, t + draw(st.floats(1e-9, 1e-6)))
+        steps.append(replace(unit, peak=area / pulse_area(unit)))
+        t = unit.t_end + draw(st.floats(0.0, 1e-7))
+    return PulseSchedule(*steps)
+
+
+class TestClosedFormOracle:
+    """Each step's Hamiltonian is b(t) M with M fixed, so it commutes with
+    itself at all times, and the midpoint product of a step is exp(-i Q_N M)
+    up to roundoff: run_protocol against that closed form to 1e-14, far below
+    its 1e-8 gap to the ideal areas."""
+
+    # across chunk edges, and into a fourth chunk
+    @pytest.mark.parametrize("steps", [1, 2, 7, 13, 1023, 1024, 1025, 2056, 4096])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equals_closed_form_at_midpoint_areas(self, shape, steps):
+        for k in (-1, 0, 1, 2):
+            schedule = ideal_schedule(shape, step_c_area=(k + 0.75) * np.pi)
+            for chirality in Chirality:
+                u = run_protocol(schedule, chirality, steps)
+                expected = closed_form_protocol(schedule, chirality, steps)
+                assert np.abs(u - expected).max() <= 1e-14
+
+    @given(valid_schedules(), st.integers(1, 4096))
+    @settings(deadline=None, max_examples=40)
+    def test_random_schedules_equal_closed_form(self, schedule, steps):
+        for chirality in Chirality:
+            u = run_protocol(schedule, chirality, steps)
+            assert np.abs(u - closed_form_protocol(schedule, chirality, steps)).max() <= 1e-14
+
+
+class TestWorkspace:
+    """The chunk loop works in one preallocated workspace per thread."""
+
+    def test_two_threads_match_serial_bytes(self):
+        # each thread its own schedules, step counts and propagate calls, all
+        # spanning several chunks, so that both loops run at once
+        fields, window = noncommuting_detuned_fields(), (0.0, 1e-7)
+        jobs = [
+            [("gaussian", 2056), ("rectangular", 3000), ("sin_squared", 1025), 2500, 1100],
+            [("sin_squared", 4096), ("gaussian", 1500), ("rectangular", 2049), 3100, 2100],
+        ]
+
+        def run(job, t_start):
+            results = []
+            for task in job:
+                if isinstance(task, int):
+                    results.append(propagate(fields, window, TimeGrid(task)).tobytes())
+                    continue
+                shape, steps = task
+                schedule = ideal_schedule(shape, t_start=t_start, step_c_area=0.75 * np.pi)
+                results += [run_protocol(schedule, q, steps).tobytes() for q in Chirality]
+            return results
+
+        _protocol_unitary.cache_clear()
+        serial = [run(job, 2.5e-6 + 1e-7 * i) for i, job in enumerate(jobs)]
+        _protocol_unitary.cache_clear()
+        threaded, errors = [None, None], []
+        barrier = threading.Barrier(2)
+
+        def worker(i):
+            try:
+                barrier.wait()
+                threaded[i] = run(jobs[i], 2.5e-6 + 1e-7 * i)
+            except BaseException as error:  # re-raised below, in the test's thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        assert threaded == serial
+
+    def test_drive_that_propagates_gets_its_own_workspace(self):
+        # the inner propagate runs while the outer chunk's times and rows are
+        # in this thread's workspace
+        inner_fields, window = noncommuting_detuned_fields(), (0.0, 1e-7)
+        env = envelope("gaussian", 0.9)
+        inner = propagate(inner_fields, window, TimeGrid(300))[0, 0]
+
+        def nested(t):
+            return propagate(inner_fields, window, TimeGrid(300))[0, 0] * env(t)
+
+        def fixed(t):
+            return inner * env(t)
+
+        u = {}
+        for name, drive in (("nested", nested), ("fixed", fixed)):
+            fields = CouplingSet(drive_12=drive, drive_23=env, drive_13=zero_drive())
+            u[name] = propagate(fields, window, TimeGrid(_CHUNK + 5)).tobytes()
+        assert u["nested"] == u["fixed"]
+
+    def test_cache_missing_protocol_allocates_no_chunk_arrays(self):
+        # four chunks of three windows once allocated about 1.2 MiB of
+        # temporaries. What is left is the drives' own arrays, a few KiB each.
+        # numpy's ufunc buffers, up to 8192 elements per operand of a
+        # broadcast or cast, are cut to 16 here, so that the peak counts
+        # arrays, not numpy's iteration.
+        run_protocol(ideal_schedule("gaussian", t_start=4.5e-6), Chirality.L, _CHUNK)
+        schedule = ideal_schedule("sin_squared", t_start=4.25e-6, gap=3e-9)
+        tracing = tracemalloc.is_tracing()
+        bufsize = np.setbufsize(16)
+        try:
+            if not tracing:
+                tracemalloc.start()
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            run_protocol(schedule, Chirality.R, 4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            np.setbufsize(bufsize)
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - start < 64 * 1024
 
 
 class TestRunProtocol:

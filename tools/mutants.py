@@ -140,15 +140,70 @@ MUTANTS = (
     (
         "windows-one-squaring-count",
         "ctlsim/propagator.py",
-        "np.reshape(squarings, (-1, 1))",
-        "np.full((len(squarings), 1), max(squarings))",
+        "    lengths, s = np.reshape(terms, (-1, 1)), np.reshape(squarings, (-1, 1))",
+        "    squarings = [max(squarings)] * len(squarings)\n"
+        "    lengths, s = np.reshape(terms, (-1, 1)), np.reshape(squarings, (-1, 1))",
     ),
     # The one kernel call of a chunk given window A's step size for every window
     (
         "windows-one-step-size",
         "ctlsim/propagator.py",
-        "_step_exponentials(rows, dt, out=out)",
-        "_step_exponentials(rows, dt[:1], out=out)",
+        "_step_exponentials(rows, dt, work)",
+        "_step_exponentials(rows, dt[:1], work)",
+    ),
+    # The chunk loop's in-place steps out of order: the diagonal of A^2 read
+    # after it is overwritten, the Horner update and the squaring reading
+    # coefficients they have just replaced, a product level written over the
+    # level it reads, and complex products written over their own factors,
+    # which rounds one-element chunks differently
+    (
+        "diagonal-reads-overwritten-d1",
+        "ctlsim/propagator.py",
+        "        np.add(c1, d1, out=d2)\n        np.add(d0, d1, out=d1)\n",
+        "        np.add(d0, d1, out=d1)\n        np.add(c1, d1, out=d2)\n",
+    ),
+    (
+        "horner-reads-new-f1",
+        "ctlsim/propagator.py",
+        "np.multiply(x, f1, out=f2)",
+        "np.multiply(x, h, out=f2)",
+    ),
+    (
+        "squaring-overwrites-f0-first",
+        "ctlsim/propagator.py",
+        "_product(term, spare, 2.0, c0, f1, f2), out=g)",
+        "_product(term, spare, 2.0, c0, f1, f2), out=f0)",
+    ),
+    (
+        "levels-read-their-own-end",
+        "ctlsim/propagator.py",
+        "at_end = not at_end",
+        "at_end = False",
+    ),
+    (
+        "products-in-place",
+        "ctlsim/propagator.py",
+        "buffers = (out, spare) if len(factors) % 2 else (spare, out)",
+        "buffers = (out, out)",
+    ),
+    # One workspace for every thread and every call, and a drive that
+    # propagates in turn given the workspace of the chunk it is evaluated for
+    (
+        "workspace-shared-by-threads",
+        "ctlsim/propagator.py",
+        "    work = getattr(_THREAD, \"work\", None)\n"
+        "    if work is None:\n"
+        "        work = _THREAD.work = _Workspace(3, _CHUNK)\n"
+        "    return _Workspace(3, _CHUNK) if work.busy else work\n",
+        "    if not hasattr(_Workspace, \"shared\"):\n"
+        "        _Workspace.shared = _Workspace(3, _CHUNK)\n"
+        "    return _Workspace.shared\n",
+    ),
+    (
+        "workspace-reentered",
+        "ctlsim/propagator.py",
+        "return _Workspace(3, _CHUNK) if work.busy else work",
+        "return work",
     ),
     # The left-handed protocol from the right-handed windows: step B mirrored
     # as well, A and C not mirrored, or the gauge taken after the projection,

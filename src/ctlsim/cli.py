@@ -54,74 +54,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _format_number(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.8e}"  # 9 significant digits
-    return str(value)
-
-
-def _emit(columns: Sequence[str], rows: Sequence[Sequence[Any]], fmt: str) -> str:
+def _emit(names: Sequence[str], columns: Sequence[Sequence[Any]], fmt: str) -> str:
+    """CSV (9 significant digits per float) or JSON records of equal-length columns."""
+    columns = [np.asarray(column) for column in columns]
+    values = [column.tolist() for column in columns]
     if fmt == "csv":
-        lines = [",".join(columns)] + [",".join(_format_number(v) for v in row) for row in rows]
-        return "\n".join(lines) + "\n"
-    records = [dict(zip(columns, (_json_value(v) for v in row))) for row in rows]
+        row = ",".join("{:.8e}" if column.dtype.kind == "f" else "{}" for column in columns)
+        return "\n".join([",".join(names), *map(row.format, *values)]) + "\n"
+    records = [dict(zip(names, row)) for row in zip(*values)]
     return json.dumps(records, indent=2) + "\n"
 
 
-def _json_value(value: Any) -> Any:
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+def _cmd_levels(scenario: ScenarioFile, args) -> tuple[list[str], list[np.ndarray]]:
+    j, tau, energy = rotor_spectrum(scenario.constants, args.jmax)
+    return ["j", "tau", "energy_ghz", "degeneracy"], [j, tau, energy, 2 * j + 1]
 
 
-def _cmd_levels(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
-    columns = ["j", "tau", "energy_ghz", "degeneracy"]
-    rows = [
-        [level.j, level.tau, level.energy_ghz, level.degeneracy]
-        for level in rotor_spectrum(scenario.constants, args.jmax)
-    ]
-    return columns, rows
+def _cmd_populations(scenario: ScenarioFile, args) -> tuple[list[str], list[list[float]]]:
+    temps = scenario.temperatures
+    values = [temps.t_rot_k, temps.t_vib_k, *to_ctls_config(scenario).populations(temps)]
+    return ["t_rot_k", "t_vib_k", "p1", "p2", "p3"], [[value] for value in values]
 
 
-def _cmd_populations(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
-    config = to_ctls_config(scenario)
-    p1, p2, p3 = config.populations(scenario.temperatures)
-    columns = ["t_rot_k", "t_vib_k", "p1", "p2", "p3"]
-    rows = [[scenario.temperatures.t_rot_k, scenario.temperatures.t_vib_k, p1, p2, p3]]
-    return columns, rows
-
-
-def _cmd_protocol(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
+def _cmd_protocol(scenario: ScenarioFile, args) -> tuple[list[str], list[np.ndarray]]:
     chiralities = (
         [Chirality(args.chirality)] if args.chirality != "both" else [Chirality.L, Chirality.R]
     )
     schedule = ideal_schedule()
-    columns = [
+    analytic = np.array([total_unitary(chirality) for chirality in chiralities])
+    numeric = np.array([run_protocol(schedule, chirality, args.steps) for chirality in chiralities])
+    defect = np.abs(numeric - analytic).max(axis=(1, 2))
+    # one row per matrix entry, chirality by chirality, row-major within each
+    row, col = np.divmod(np.arange(analytic.size) % 9, 3)
+    names = [
         "chirality", "row", "col",
         "analytic_re", "analytic_im", "numeric_re", "numeric_im", "defect_max",
     ]
-    rows: list[list[Any]] = []
-    for chirality in chiralities:
-        analytic = total_unitary(chirality)
-        numeric = run_protocol(schedule, chirality, args.steps)
-        defect = float(np.abs(numeric - analytic).max())
-        for i in range(3):
-            for j in range(3):
-                rows.append(
-                    [
-                        chirality.value, i, j,
-                        analytic[i, j].real, analytic[i, j].imag,
-                        numeric[i, j].real, numeric[i, j].imag,
-                        defect,
-                    ]
-                )
-    return columns, rows
+    return names, [
+        np.repeat([chirality.value for chirality in chiralities], 9), row, col,
+        analytic.real.ravel(), analytic.imag.ravel(),
+        numeric.real.ravel(), numeric.imag.ravel(),
+        np.repeat(defect, 9),
+    ]
 
 
 _POPULATIONS = ["p1", "p2", "p3"]
@@ -139,7 +113,7 @@ _SWEEPS = {
 }
 
 
-def _cmd_sweep(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]]:
+def _cmd_sweep(scenario: ScenarioFile, args) -> tuple[list[str], list[np.ndarray]]:
     kernel, modes, columns = _SWEEPS[getattr(args, "target", args.command)]
     # looked up per call, so that names rebound on this module take effect
     sweep = {"excess": excess_sweep, "population": population_sweep, "yield": yield_sweep}[kernel]
@@ -149,7 +123,7 @@ def _cmd_sweep(scenario: ScenarioFile, args) -> tuple[list[str], list[list[Any]]
         sweep(to_ctls_config(scenario, mode), grid, scenario.temperatures.t_vib_k)
         for mode in modes
     ]
-    return ["t_rot_k", *columns], [[t, *row] for t, row in zip(grid, np.column_stack(tables))]
+    return ["t_rot_k", *columns], [grid, *np.column_stack(tables).T]
 
 
 _PLOT_SPECS = {

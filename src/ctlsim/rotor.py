@@ -65,7 +65,7 @@ class RotationalConstants:
 
 @dataclass(frozen=True)
 class RotorLevel:
-    """One asymmetric-top level |J_tau> with its M multiplicity.
+    """One asymmetric-top level |J_tau>.
 
     ``tau`` runs from -J to J in order of ascending energy within the J block.
     """
@@ -76,11 +76,6 @@ class RotorLevel:
 
     def __post_init__(self) -> None:
         level_index(self.j, self.tau)
-
-    @property
-    def degeneracy(self) -> int:
-        """Number of magnetic sublevels, 2J + 1."""
-        return 2 * self.j + 1
 
 
 def level_index(j: int, tau: int) -> int:
@@ -170,11 +165,15 @@ def rotor_levels(j: int, constants: RotationalConstants) -> list[RotorLevel]:
     ]
 
 
-def rotor_spectrum(constants: RotationalConstants, j_max: int) -> list[RotorLevel]:
-    """All levels for J = 0..j_max, block by block in ascending J."""
+def rotor_spectrum(
+    constants: RotationalConstants, j_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (J, tau, energy in GHz) of all levels for J = 0..j_max, block
+    by block in ascending J and ascending energy within a block."""
     if j_max < 0:
         raise ValueError(f"j_max must be non-negative, got {j_max}")
-    levels: list[RotorLevel] = []
-    for j in range(j_max + 1):
-        levels.extend(rotor_levels(j, constants))
-    return levels
+    blocks = np.arange(j_max + 1)
+    j = np.repeat(blocks, 2 * blocks + 1)
+    # block J starts at row J^2, and its tau = -J sits there
+    tau = np.arange(len(j)) - (j**2 + j)
+    return j, tau, np.concatenate([block_energies(n, constants) for n in range(j_max + 1)])

@@ -18,9 +18,9 @@ from ctlsim.thermal import rotational_partition
 from .conftest import PROPANEDIOL
 
 
-def constants_strategy():
+def constants_strategy(min_ghz=0.05, max_ghz=50.0):
     """Random valid A >= B >= C > 0 triples."""
-    positive = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
+    positive = st.floats(min_value=min_ghz, max_value=max_ghz, allow_nan=False)
     return st.tuples(positive, positive, positive).map(
         lambda t: RotationalConstants(*sorted(t, reverse=True))
     )
@@ -164,7 +164,7 @@ class TestRotorLevels:
         assert len(levels) == 1
         assert levels[0].tau == 0
         assert levels[0].energy_ghz == 0.0
-        assert levels[0].degeneracy == 1
+        assert levels[0].j == 0
 
     def test_j1_propanediol(self, propanediol):
         # closed forms B+C, A+C, A+B
@@ -173,7 +173,7 @@ class TestRotorLevels:
         assert [lv.energy_ghz for lv in levels] == pytest.approx(
             [6.4241, 11.3131, 12.1598], abs=1e-9
         )
-        assert all(lv.degeneracy == 3 for lv in levels)
+        assert all(lv.j == 1 for lv in levels)
 
     @given(constants_strategy())
     @settings(deadline=None)
@@ -211,19 +211,32 @@ class TestRotorLevels:
 class TestRotorSpectrum:
     @pytest.mark.parametrize("j_max, count", [(0, 1), (1, 4), (2, 9), (5, 36)])
     def test_level_counts(self, j_max, count, propanediol):
-        levels = rotor_spectrum(propanediol, j_max)
-        assert len(levels) == count
-        assert max(lv.j for lv in levels) == j_max
+        j, tau, energy = rotor_spectrum(propanediol, j_max)
+        assert len(j) == len(tau) == len(energy) == count == (j_max + 1) ** 2
+        assert j.max() == j_max
 
     def test_tau_labels_complete(self, propanediol):
-        levels = rotor_spectrum(propanediol, 3)
-        for j in range(4):
-            taus = sorted(lv.tau for lv in levels if lv.j == j)
-            assert taus == list(range(-j, j + 1))
+        j, tau, _ = rotor_spectrum(propanediol, 3)
+        for n in range(4):
+            assert tau[j == n].tolist() == list(range(-n, n + 1))
 
     def test_negative_jmax_rejected(self, propanediol):
         with pytest.raises(ValueError):
             rotor_spectrum(propanediol, -1)
+
+    @given(constants_strategy(1e-3, 1e3), st.integers(min_value=0, max_value=30))
+    @example(RotationalConstants(10.0, 2.0, 2.0), 30)  # prolate symmetric top
+    @example(RotationalConstants(10.0, 10.0, 2.0), 30)  # oblate symmetric top
+    @example(RotationalConstants(1e3, 1e-3, 1e-3), 30)
+    @settings(deadline=None, max_examples=50)
+    def test_columns_are_the_levels_of_each_block(self, constants, j_max):
+        j, tau, energy = rotor_spectrum(constants, j_max)
+        assert j.dtype.kind == tau.dtype.kind == "i"
+        assert list(zip(j.tolist(), tau.tolist(), energy.tolist())) == [
+            (lv.j, lv.tau, lv.energy_ghz)
+            for n in range(j_max + 1)
+            for lv in rotor_levels(n, constants)
+        ]
 
 
 def test_j1_example_matches_dense_diagonalization():

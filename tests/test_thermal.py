@@ -243,7 +243,7 @@ class TestRotationalPartition:
         z_direct = 0.0
         for j in range(41):
             for level in rotor_levels(j, propanediol):
-                z_direct += level.degeneracy * math.exp(
+                z_direct += (2 * level.j + 1) * math.exp(
                     -level.energy_ghz * K_PER_GHZ / 10.0
                 )
         assert rotational_partition(propanediol, 10.0, rel_tol=1e-10) == pytest.approx(
@@ -384,7 +384,7 @@ class TestGlobalProportion:
         for j in range(9):
             for rot in rotor_levels(j, propanediol):
                 level = RoVibLevel(vib_quantum=0, vib_energy_thz=0.0, rot=rot)
-                total += rot.degeneracy * global_proportion(
+                total += (2 * rot.j + 1) * global_proportion(
                     [level], propanediol, (OH_STRETCH,), 1.0, 300.0
                 )[0, 0]
         assert total <= 1.0 + 1e-9

@@ -128,6 +128,34 @@ MUTANTS = (
         "odd[0] += sign * coupling[0]",
         "odd[0] += sign * coupling[1:2].sum()",
     ),
+    # The level table's tau column offset by J^2 alone, so that each block
+    # starts at tau = 0
+    (
+        "spectrum-tau-offset",
+        "ctlsim/rotor.py",
+        "tau = np.arange(len(j)) - (j**2 + j)",
+        "tau = np.arange(len(j)) - (j**2)",
+    ),
+    # The emitter: floats printed to 8 significant digits, the float format
+    # given to every column but the floats, and JSON records of numpy scalars
+    (
+        "csv-eight-digits",
+        "ctlsim/cli.py",
+        '"{:.8e}" if column.dtype.kind',
+        '"{:.7e}" if column.dtype.kind',
+    ),
+    (
+        "csv-float-test-inverted",
+        "ctlsim/cli.py",
+        'column.dtype.kind == "f"',
+        'column.dtype.kind != "f"',
+    ),
+    (
+        "json-without-tolist",
+        "ctlsim/cli.py",
+        "records = [dict(zip(names, row)) for row in zip(*values)]",
+        "records = [dict(zip(names, row)) for row in zip(*columns)]",
+    ),
     # The protocol's step windows, stacked in one pass, given the longest
     # series or the most squarings of any window: still exponentials to
     # roundoff, but no longer bit for bit those of each window alone

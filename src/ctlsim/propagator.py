@@ -18,7 +18,11 @@ The Hamiltonian has a zero diagonal and is Hermitian, so its three upper
 entries W12, W13, W23, the drive rows (``_drive_rows``), fix it and its step
 exponentials. Stacks of step matrices are entry-major, (3, 3, w, n) for w
 windows of n steps: a 3x3 product over a stack is three broadcast
-multiply-adds of contiguous vectors (``_matmul``).
+multiply-adds of contiguous vectors (``_matmul``). The two chunk kernels
+take this one shape and no other: ``_step_exponentials`` maps the rows,
+(3, w, n), and one step size per window, (w, 1), to the (3, 3, w, n)
+exponentials, and ``_ordered_product`` folds them to the (3, 3, w) products,
+both in the caller's workspace.
 
 A protocol is one pass over the right-handed steps A, B and C (``_propagate``)
 for both enantiomers (``_protocol_unitary``). B does not drive (1,3) and serves
@@ -334,14 +338,11 @@ def _matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray, term: np.ndarray) -> 
     return out
 
 
-def _ordered_product(u: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
-    """u[n-1] @ ... @ u[1] @ u[0] of an (..., n, 3, 3) stack, by pairwise
-    halving along the step axis of its entry-major view; a level of odd length
-    carries its last step up unpaired. The levels are in ``work``, a workspace
-    of their own if not given, and the result is a view of the last one."""
-    u = np.moveaxis(u, (-2, -1), (0, 1))
-    if work is None:
-        work = _Workspace(math.prod(u.shape[2:-1]), u.shape[-1])
+def _ordered_product(u: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Each window's u[n-1] @ ... @ u[1] @ u[0] of an entry-major (3, 3, w, n)
+    stack, entry-major (3, 3, w), by pairwise halving along the step axis; a
+    level of odd length carries its last step up unpaired. The levels are in
+    ``work``, and the result is a view of the last one."""
     at_end = True
     while u.shape[-1] > 1:
         n, stack = u.shape[-1], u.shape[:-1]
@@ -352,14 +353,14 @@ def _ordered_product(u: np.ndarray, work: _Workspace | None = None) -> np.ndarra
         if n % 2:
             level[..., -1] = u[..., -1]
         u = level
-    return np.moveaxis(u[..., 0], (0, 1), (-2, -1))
+    return u[..., 0]
 
 
-def _step_exponentials(rows: np.ndarray, dt, work: _Workspace | None = None) -> np.ndarray:
+def _step_exponentials(rows: np.ndarray, dt: np.ndarray, work: _Workspace) -> np.ndarray:
     """exp(-i h dt) for each step of a zero-diagonal Hermitian h given by its
-    drive rows, shape (3, n), or (3, w, n) for w windows with a float ``dt``
-    or one per window, shape (w, 1): the upper entries h01, h02, h12
-    (``_drive_rows``). The rows are scaled by ``dt`` in place.
+    drive rows, shape (3, w, n) for w windows of n steps, with one ``dt`` per
+    window, shape (w, 1): the upper entries h01, h02, h12 (``_drive_rows``).
+    The rows are scaled by ``dt`` in place.
 
     By Cayley-Hamilton a traceless 3x3 matrix A = h dt obeys
     A^3 = c1 A + c0 I with c1 = tr(A^2)/2 and c0 = det A, both real for
@@ -376,15 +377,11 @@ def _step_exponentials(rows: np.ndarray, dt, work: _Workspace | None = None) -> 
 
     Each window has the squarings and series length of its largest step: a
     shorter series starts with zero coefficients, which keep (f0, f1, f2) at
-    (1, 0, 0) exactly. Every array is in ``work``, a workspace of its own if
-    not given, where each formula is evaluated in its written order and each
-    complex product out of place (``_product``). Returns (n, 3, 3) or
-    (w, n, 3, 3) views of its entry-major (3, 3, w, n) exponentials.
+    (1, 0, 0) exactly. Every array is in ``work``, where each formula is
+    evaluated in its written order and each complex product out of place
+    (``_product``). Returns the entry-major (3, 3, w, n) exponentials.
     """
-    shape = rows.shape[1:]
-    a01, a02, a12 = np.multiply(rows, np.reshape(dt, (-1, 1)), out=rows).reshape(3, -1, shape[-1])
-    if work is None:
-        work = _Workspace(*a01.shape)
+    a01, a02, a12 = np.multiply(rows, dt, out=rows)
     d0, d1, d2, c0, c1, t = _carve(work.real, (6,) + a01.shape)
     q02, f0, f1, f2, g, h, p, term, spare = _carve(work.scratch, (9,) + a01.shape)
     # a step far beyond the phase bound below may overflow here; the bound
@@ -464,14 +461,14 @@ def _step_exponentials(rows: np.ndarray, dt, work: _Workspace | None = None) -> 
         np.add(np.multiply(f1, a, out=e[i, j]), np.multiply(f2, q, out=term), out=e[i, j])
         np.multiply(f1, np.conjugate(a, out=term), out=e[j, i])
         np.add(e[j, i], np.multiply(f2, np.conjugate(q, out=term), out=spare), out=e[j, i])
-    return e.transpose(2, 3, 0, 1).reshape(shape + (3, 3))
+    return e
 
 
 def _propagate(drives: list[CouplingSet], windows: list, grid: TimeGrid) -> np.ndarray:
     """The unprojected step products of w <= 3 drive sets over their own windows
     in one chunk loop: (w, 3, 3), each bit for bit what the loop gives it alone.
     Every chunk works in this thread's workspace and allocates no array but
-    the drives' own."""
+    the drives' own; its entry-major products are folded in as (w, 3, 3) views."""
     steps = grid.steps
     for t0, t1 in windows:
         if not t1 > t0:
@@ -494,7 +491,7 @@ def _propagate(drives: list[CouplingSet], windows: list, grid: TimeGrid) -> np.n
             if not finite.all():
                 bad = float(times.flat[np.argmin(finite.all(axis=0))])
                 raise ArithmeticError(f"non-finite drive amplitude at t = {bad}")
-            u = _ordered_product(_step_exponentials(rows, dt, work), work) @ u
+            u = _ordered_product(_step_exponentials(rows, dt, work), work).transpose(2, 0, 1) @ u
     finally:
         work.busy = False
     return u

@@ -31,6 +31,7 @@ from ctlsim.propagator import (
     _ordered_product,
     _protocol_unitary,
     _step_exponentials,
+    _Workspace,
     PulseEnvelope,
     PulseSchedule,
     ScheduleError,
@@ -255,15 +256,30 @@ class TestInteractionHamiltonian:
             assert (h[..., i, i] == 0.0).all()
 
 
+def in_workspace(kernel, stack: np.ndarray, *args) -> np.ndarray:
+    """A chunk kernel on an entry-major stack of w windows of n steps, (3, w, n)
+    drive rows or (3, 3, w, n) matrices, in a workspace of that size: its
+    entry-major result seen step-major, (w, n, 3, 3) or (w, 3, 3)."""
+    result = kernel(stack, *args, _Workspace(*stack.shape[-2:]))
+    return np.moveaxis(result, (0, 1), (-2, -1))
+
+
 class TestOrderedProduct:
+    # odd levels carry their last step up unpaired at 3, 5, 1023 and 1025
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 1023, 1024, 1025])
     def test_matches_left_fold(self, count):
+        # one window, and three with their own unitaries, each folded alone
         rng = np.random.default_rng(count)
-        q, _ = np.linalg.qr(rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3)))
-        expected = np.eye(3, dtype=complex)
-        for u in q:
-            expected = u @ expected
-        assert np.abs(_ordered_product(q) - expected).max() <= 1e-14
+        for windows in (1, 3):
+            size = (windows, count, 3, 3)
+            q, _ = np.linalg.qr(rng.normal(size=size) + 1j * rng.normal(size=size))
+            products = in_workspace(_ordered_product, np.moveaxis(q, (2, 3), (0, 1)).copy())
+            assert products.shape == (windows, 3, 3)
+            for window, product in zip(q, products):
+                expected = np.eye(3, dtype=complex)
+                for u in window:
+                    expected = u @ expected
+                assert np.abs(product - expected).max() <= 1e-14
 
 
 class TestPropagate:
@@ -546,8 +562,14 @@ def zero_diagonal_hermitian(rng, count: int, scale: float) -> np.ndarray:
 
 def upper_rows(h: np.ndarray) -> np.ndarray:
     """The drive rows of an (n, 3, 3) zero-diagonal Hermitian stack: its upper
-    entries h01, h02, h12 as one (3, n) array, as _step_exponentials takes them."""
-    return np.stack([h[:, 0, 1], h[:, 0, 2], h[:, 1, 2]])
+    entries h01, h02, h12 as one window's (3, 1, n) array, as
+    _step_exponentials takes them."""
+    return np.stack([h[:, 0, 1], h[:, 0, 2], h[:, 1, 2]])[:, None]
+
+
+def window_exponentials(rows: np.ndarray, dt: float) -> np.ndarray:
+    """The step exponentials of one window's (3, 1, n) drive rows, (n, 3, 3)."""
+    return in_workspace(_step_exponentials, rows, np.full((1, 1), dt))[0]
 
 
 def assert_matches_expm(a: np.ndarray, exponentials: np.ndarray) -> None:
@@ -571,7 +593,7 @@ class TestStepExponentials:
         a = zero_diagonal_hermitian(np.random.default_rng(int(1e3 * scale) + 17), 64, scale)
         dt = 2.5e-8
         h = a / dt  # rad/s, as propagate passes it
-        assert_matches_expm(h * dt, _step_exponentials(upper_rows(h), dt))
+        assert_matches_expm(h * dt, window_exponentials(upper_rows(h), dt))
 
     def test_mixed_magnitudes_in_one_chunk(self):
         # the chunk's largest step sets the squarings for all of its steps
@@ -579,20 +601,20 @@ class TestStepExponentials:
         h = np.concatenate(
             [zero_diagonal_hermitian(rng, 16, scale) for scale in (1e-6, 1e-2, 0.7, 15.0)]
         )
-        assert_matches_expm(h, _step_exponentials(upper_rows(h), 1.0))
+        assert_matches_expm(h, window_exponentials(upper_rows(h), 1.0))
 
     @pytest.mark.parametrize("scale", [1e-3, 3.0])
     def test_strided_view_matches_contiguous_copy(self, scale):
         rng = np.random.default_rng(5)
-        every_other = upper_rows(zero_diagonal_hermitian(rng, 2 * 37, scale))[:, ::2]
+        every_other = upper_rows(zero_diagonal_hermitian(rng, 2 * 37, scale))[..., ::2]
         step_major = upper_rows(zero_diagonal_hermitian(rng, 37, scale)).T.copy().T
         for view in (every_other, step_major):
             assert not view.flags.c_contiguous
             copy = np.ascontiguousarray(view)
-            assert (_step_exponentials(view, 0.7) == _step_exponentials(copy, 0.7)).all()
+            assert (window_exponentials(view, 0.7) == window_exponentials(copy, 0.7)).all()
 
     def test_zero_hamiltonian_is_identity(self):
-        e = _step_exponentials(np.zeros((3, 5), dtype=complex), 1e-9)
+        e = window_exponentials(np.zeros((3, 1, 5), dtype=complex), 1e-9)
         assert (e == np.eye(3)).all()
 
     @given(
@@ -620,7 +642,7 @@ class TestStepExponentials:
         for row, (i, j) in zip(rows, ((0, 1), (0, 2), (1, 2))):
             a[:, i, j] = row
             a[:, j, i] = row.conj()
-        assert_matches_expm(a, _step_exponentials(rows, 1.0))
+        assert_matches_expm(a, window_exponentials(rows[:, None], 1.0))
 
     @pytest.mark.parametrize("area", [0.0, 1e-12, 1e-6, 1e-3, 0.3, np.pi / 4.0, 1.75 * np.pi, 20.0])
     def test_single_transition(self, area):
@@ -629,7 +651,7 @@ class TestStepExponentials:
             h = np.zeros((1, 3, 3), dtype=complex)
             h[0, n, m] = area * np.exp(0.3j)
             h[0, m, n] = area * np.exp(-0.3j)
-            assert_matches_expm(h, _step_exponentials(upper_rows(h), 1.0))
+            assert_matches_expm(h, window_exponentials(upper_rows(h), 1.0))
 
     @pytest.mark.parametrize("steps", [1, 7, 2000])
     def test_protocol_steps_unitary_to_1e_14(self, steps):
@@ -644,7 +666,7 @@ class TestStepExponentials:
                         t0, t1 = step.t_start, step.t_end
                         dt = (t1 - t0) / steps
                         h = interaction_hamiltonian(t0 + (np.arange(steps) + 0.5) * dt, fields)
-                        e = _step_exponentials(upper_rows(h), dt)
+                        e = window_exponentials(upper_rows(h), dt)
                         defect = np.abs(e.conj().swapaxes(1, 2) @ e - np.eye(3)).max()
                         assert defect <= 1e-14
 
@@ -698,7 +720,7 @@ class TestOnePassProtocol:
             calls.append((len(drives), len(windows), grid.steps))
             return chunk_loop(drives, windows, grid)
 
-        def spy_kernel(rows, dt, work=None):
+        def spy_kernel(rows, dt, work):
             exponentials.append(rows.shape)
             return kernel(rows, dt, work)
 
@@ -734,18 +756,19 @@ class TestOnePassProtocol:
         # rounds differently if a complex product is written over a factor
         rng = np.random.default_rng(11)
         for steps in (1, 37):
-            windows = [np.zeros((3, steps), dtype=complex)]
+            windows = [np.zeros((3, 1, steps), dtype=complex)]
             windows += [
                 upper_rows(zero_diagonal_hermitian(rng, steps, s)) for s in (1e-7, 0.3, 15.0)
             ]
-            rows = np.stack(windows, axis=1)
+            rows = np.concatenate(windows, axis=1)
             dt = np.array([[1.0], [0.5], [2.0], [0.25]])
-            stacked = _step_exponentials(rows.copy(), dt)
-            products = _ordered_product(stacked)
+            stacked = in_workspace(_step_exponentials, rows.copy(), dt)
+            products = in_workspace(_ordered_product, np.moveaxis(stacked, (2, 3), (0, 1)))
             for k in range(len(dt)):
-                alone = _step_exponentials(rows[:, k].copy(), float(dt[k, 0]))
-                assert np.array_equal(stacked[k], alone)
-                assert np.array_equal(products[k], _ordered_product(alone))
+                alone = in_workspace(_step_exponentials, rows[:, k : k + 1].copy(), dt[k : k + 1])
+                assert np.array_equal(stacked[k], alone[0])
+                alone = in_workspace(_ordered_product, np.moveaxis(alone, (2, 3), (0, 1)))
+                assert np.array_equal(products[k], alone[0])
 
 
 def midpoint_area(step: PulseEnvelope, steps: int) -> float:

@@ -179,6 +179,13 @@ MUTANTS = (
         "_step_exponentials(rows, dt, work)",
         "_step_exponentials(rows, dt[:1], work)",
     ),
+    # Each window's entry-major product folded in transposed
+    (
+        "fold-transposed",
+        "ctlsim/propagator.py",
+        ".transpose(2, 0, 1) @ u",
+        ".transpose(2, 1, 0) @ u",
+    ),
     # The chunk loop's in-place steps out of order: the diagonal of A^2 read
     # after it is overwritten, the Horner update and the squaring reading
     # coefficients they have just replaced, a product level written over the

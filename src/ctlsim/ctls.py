@@ -15,13 +15,14 @@ gauge D U D, D = diag(1, 1, -1). Under it the protocol returns left-handed
 molecules to the ground state and transfers right-handed ones from |1> to |2>.
 
 A drive is its Rabi function W_nm(t): the ``CouplingSet`` slot it fills,
-``drive_12``, ``drive_23`` or ``drive_13``, says which transition it couples.
+``drive_12``, ``drive_23`` or ``drive_13``, says which transition it couples,
+and a slot left out is undriven.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -29,8 +30,6 @@ import numpy as np
 __all__ = [
     "Chirality",
     "CouplingSet",
-    "constant_drive",
-    "zero_drive",
     "signed_couplings",
     "step_unitaries",
     "total_unitary",
@@ -52,15 +51,9 @@ class Chirality(enum.Enum):
     R = "R"
 
 
-def constant_drive(amplitude: complex) -> RabiFunction:
-    """Drive with a time-independent amplitude."""
-    value = complex(amplitude)
-    return lambda t: value
-
-
-def zero_drive() -> RabiFunction:
-    """Inactive drive."""
-    return constant_drive(0.0)
+def _undriven(t) -> complex:
+    """The drive of a transition no field couples: zero at every time."""
+    return 0j
 
 
 @dataclass(frozen=True)
@@ -72,12 +65,12 @@ class CouplingSet:
     a scalar or an array of times and returns a value of the same shape; a
     time-independent amplitude may return a scalar for any input, which
     callers broadcast. A detuning Delta is a phase e^{i Delta t} folded into
-    the amplitude.
+    the amplitude. An absent drive is zero: ``CouplingSet()`` drives nothing.
     """
 
-    drive_12: RabiFunction
-    drive_23: RabiFunction
-    drive_13: RabiFunction
+    drive_12: RabiFunction = _undriven
+    drive_23: RabiFunction = _undriven
+    drive_13: RabiFunction = _undriven
 
 
 def _signed_13(value, chirality: Chirality):
@@ -99,11 +92,7 @@ def signed_couplings(base: CouplingSet, chirality: Chirality) -> CouplingSet:
     """The drives a species of handedness ``chirality`` sees under the base
     drives: W12 and W23 unchanged, and W13 signed by ``_signed_13``, so
     W13_L = -W13_R and the loop phases differ by pi."""
-    return CouplingSet(
-        drive_12=base.drive_12,
-        drive_23=base.drive_23,
-        drive_13=lambda t: _signed_13(base.drive_13(t), chirality),
-    )
+    return replace(base, drive_13=lambda t: _signed_13(base.drive_13(t), chirality))
 
 
 def _pulse_13(theta: float) -> np.ndarray:

@@ -50,9 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ctls import (
-    _SQ2, _STEP_AREAS, Chirality, CouplingSet, _mirror_13, signed_couplings, zero_drive,
-)
+from .ctls import _SQ2, _STEP_AREAS, Chirality, CouplingSet, _mirror_13, signed_couplings
 
 __all__ = [
     "PulseEnvelope",
@@ -222,13 +220,10 @@ def step_couplings(schedule: PulseSchedule) -> tuple[CouplingSet, CouplingSet, C
     drive (1,3) with their envelope, B splits its envelope over (1,2) and
     (2,3) with the fixed prefactors i/sqrt(2) and 1/sqrt(2)."""
     a, b, c = schedule.steps
-    zero = zero_drive()
     return (
-        CouplingSet(drive_12=zero, drive_23=zero, drive_13=a),
-        CouplingSet(
-            drive_12=lambda t: 1j * _SQ2 * b(t), drive_23=lambda t: _SQ2 * b(t), drive_13=zero
-        ),
-        CouplingSet(drive_12=zero, drive_23=zero, drive_13=c),
+        CouplingSet(drive_13=a),
+        CouplingSet(drive_12=lambda t: 1j * _SQ2 * b(t), drive_23=lambda t: _SQ2 * b(t)),
+        CouplingSet(drive_13=c),
     )
 
 

@@ -106,7 +106,8 @@ class _Reader:
 
     def __init__(self, data: Mapping[str, Any], path: str):
         if not isinstance(data, Mapping):
-            raise ScenarioError(path, f"expected a mapping, got {type(data).__name__}")
+            field = path or "<document>"  # the root reader's path is empty
+            raise ScenarioError(field, f"expected a mapping, got {type(data).__name__}")
         self._data = dict(data)
         self.path = path
         self._seen: set[str] = set()
@@ -268,9 +269,10 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
 
 def parse_scenario(path: str | Path) -> ScenarioFile:
     """Load and validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError("<document>", f"not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError("<document>", f"not valid YAML: {exc}") from exc
     if data is None:

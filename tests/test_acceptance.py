@@ -177,17 +177,13 @@ def test_criterion_8_property_suite():
                 failures.append(f"shape dependence {defect} ({shape}, {chirality})")
 
     # second-order convergence on smooth envelopes
-    from ctlsim.ctls import CouplingSet, zero_drive
+    from ctlsim.ctls import CouplingSet
     from ctlsim.propagator import PulseEnvelope, TimeGrid, propagate, pulse_area
 
     env_a = PulseEnvelope("gaussian", peak=1.0, t_start=0.0, t_end=1e-7)
     env_a = PulseEnvelope("gaussian", peak=1.1 / pulse_area(env_a), t_start=0.0, t_end=1e-7)
     env_b = PulseEnvelope("sin_squared", peak=0.8 / (0.5e-7), t_start=0.0, t_end=1e-7)
-    fields = CouplingSet(
-        drive_12=env_a,
-        drive_23=env_b,
-        drive_13=zero_drive(),
-    )
+    fields = CouplingSet(drive_12=env_a, drive_23=env_b)
     reference_u = propagate(fields, (0.0, 1e-7), TimeGrid(16384))
     defects = [
         np.abs(propagate(fields, (0.0, 1e-7), TimeGrid(n)) - reference_u).max()

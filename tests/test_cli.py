@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import ctlsim
-from ctlsim.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+from ctlsim import cli
+from ctlsim.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from ctlsim.scenario import bundled_scenario_path
 
 # sha256 of stdout for commands on the bundled scenario, shared with the benchmark
@@ -318,6 +319,33 @@ class TestScenarioHandling:
         assert "A >= B >= C" in err
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            (
+                b"\xff" + SMALL_SWEEP.encode(),
+                "<document>: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0",
+            ),
+            (b"- 1\n- 2\n", "<document>: expected a mapping, got list\n"),
+            (b"molecule: [\n", "<document>: not valid YAML"),
+        ],
+        ids=["not-utf-8", "root-list", "invalid-yaml"],
+    )
+    def test_unreadable_document_exit_3(self, capsys, tmp_path, content, message):
+        bad = tmp_path / "bad.scenario"
+        bad.write_bytes(content)
+        code, out, err = run_cli(capsys, "populations", "--scenario", str(bad))
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err.startswith(f"ctlsim: invalid scenario: {message}")
+
+    def test_computation_failure_exit_1(self, capsys, scenario_path, monkeypatch):
+        def fail(*args):
+            raise ArithmeticError("the sweep failed")
+
+        monkeypatch.setattr(cli, "yield_sweep", fail)
+        code, out, err = run_cli(capsys, "yield", "--scenario", scenario_path)
+        assert (code, out, err) == (EXIT_FAILURE, "", "ctlsim: the sweep failed\n")
+
+    @pytest.mark.parametrize(
         "old, new, message",
         [
             ("A: 8.5244", "A: 1" + "0" * 400, "molecule.rotational_constants_ghz.A: int too large"),
@@ -394,6 +422,12 @@ class TestScenarioHandling:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"argument {argv[1]}: must be at least" in err
+
+    @pytest.mark.parametrize("value", ["2.5", "many"])
+    def test_non_integer_flag_value_exit_64(self, capsys, scenario_path, value):
+        code, out, err = run_cli(capsys, "protocol", "--steps", value, "--scenario", scenario_path)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument --steps: invalid int value: {value!r}" in err
 
     def test_jmax_beyond_the_level_bound_exit_64(self, capsys, scenario_path):
         code, out, err = run_cli(capsys, "levels", "--jmax", "1001", "--scenario", scenario_path)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ctlsim.ctls import (
     Chirality,
     CouplingSet,
-    constant_drive,
     signed_couplings,
     step_unitaries,
     total_unitary,
@@ -31,16 +30,29 @@ def overall_phase(couplings: CouplingSet, t: float = 0.0) -> float:
 
 
 def base_couplings(w12=1.0 + 0j, w23=1.0 + 0j, w13=1.0 + 0j) -> CouplingSet:
-    return CouplingSet(
-        drive_12=constant_drive(w12),
-        drive_23=constant_drive(w23),
-        drive_13=constant_drive(w13),
-    )
+    return CouplingSet(lambda t: w12, lambda t: w23, lambda t: w13)
+
+
+# step B's base drives; it does not drive (1,3)
+STEP_B = CouplingSet(drive_12=lambda t: 1j * SQ2, drive_23=lambda t: SQ2)
 
 
 nonzero_complex = st.complex_numbers(
     min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False
 )
+
+
+class TestCouplingSet:
+    def test_absent_drives_are_zero(self):
+        times = np.linspace(0.0, 1.0, 5)
+        pump = CouplingSet(drive_13=lambda t: 0.5)
+        assert pump.drive_12(times) == pump.drive_23(times) == STEP_B.drive_13(times) == 0j
+
+    @pytest.mark.parametrize("chirality", [Chirality.L, Chirality.R])
+    def test_sign_rule_replaces_only_drive_13(self, chirality):
+        signed = signed_couplings(STEP_B, chirality)
+        assert (signed.drive_12, signed.drive_23) == (STEP_B.drive_12, STEP_B.drive_23)
+        assert signed.drive_13 is not STEP_B.drive_13
 
 
 class TestSignedCouplings:
@@ -164,14 +176,13 @@ class TestBrightState:
         assert d[1] == 0.0
         assert d == pytest.approx(np.array([1j * SQ2, 0.0, SQ2]))
         # the signed step-B drives couple |2> to d: H|2> = W12|1> + conj(W23)|3>
-        step_b = signed_couplings(base_couplings(w12=1j * SQ2, w23=SQ2, w13=0.0), chirality)
+        step_b = signed_couplings(STEP_B, chirality)
         coupled = np.array([step_b.drive_12(0.0), 0.0, np.conj(step_b.drive_23(0.0))])
         assert np.abs(coupled - d).max() < 1e-15
 
     def test_same_for_both_handednesses(self):
         # step B does not drive (1,3), so the sign rule leaves its drives alone
-        base = base_couplings(w12=1j * SQ2, w23=SQ2, w13=0.0)
-        left = signed_couplings(base, Chirality.L)
-        right = signed_couplings(base, Chirality.R)
+        left = signed_couplings(STEP_B, Chirality.L)
+        right = signed_couplings(STEP_B, Chirality.R)
         for name in ("drive_12", "drive_23", "drive_13"):
             assert getattr(left, name)(0.0) == getattr(right, name)(0.0)

@@ -18,11 +18,9 @@ from ctlsim.ctls import (
     CouplingSet,
     _pulse_13,
     _signed_13,
-    constant_drive,
     signed_couplings,
     step_unitaries,
     total_unitary,
-    zero_drive,
 )
 from ctlsim.propagator import (
     _AREA_TOL,
@@ -59,19 +57,11 @@ def envelope(shape: str, area: float, duration: float = 1e-7) -> PulseEnvelope:
 
 
 def drive_13_only(env: PulseEnvelope, sign: float = 1.0) -> CouplingSet:
-    return CouplingSet(
-        drive_12=zero_drive(),
-        drive_23=zero_drive(),
-        drive_13=lambda t: sign * env(t),
-    )
+    return CouplingSet(drive_13=lambda t: sign * env(t))
 
 
 def constant_12(amp: float) -> CouplingSet:
-    return CouplingSet(
-        drive_12=constant_drive(amp),
-        drive_23=zero_drive(),
-        drive_13=zero_drive(),
-    )
+    return CouplingSet(drive_12=lambda t: amp)
 
 
 def noncommuting_detuned_fields() -> CouplingSet:
@@ -135,6 +125,11 @@ class TestPulseEnvelope:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             PulseEnvelope("gaussian", **fields)
 
+    @pytest.mark.parametrize("t_end", [1.0, 0.5], ids=["empty", "reversed"])
+    def test_window_without_duration_rejected(self, t_end):
+        with pytest.raises(ValueError, match=r"^window must satisfy t_end > t_start, got \[1.0, "):
+            PulseEnvelope("rectangular", peak=1.0, t_start=1.0, t_end=t_end)
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_array_call_matches_scalar_calls(self, shape):
         env = envelope(shape, 0.7)
@@ -194,7 +189,7 @@ class TestInteractionHamiltonian:
         assert np.abs(h - expected).max() < 1e-15
 
     def test_all_zero(self):
-        fields = CouplingSet(zero_drive(), zero_drive(), zero_drive())
+        fields = CouplingSet()
         assert np.abs(interaction_hamiltonian(0.0, fields)).max() == 0.0
 
     def test_step_b_bright_state_form(self):
@@ -210,11 +205,7 @@ class TestInteractionHamiltonian:
         assert np.abs(h - expected).max() < 1e-14
 
     def test_hermitian_with_detuning(self):
-        fields = CouplingSet(
-            drive_12=lambda t: (0.3 + 0.2j) * np.exp(1j * 2.0 * t),
-            drive_23=zero_drive(),
-            drive_13=zero_drive(),
-        )
+        fields = CouplingSet(drive_12=lambda t: (0.3 + 0.2j) * np.exp(1j * 2.0 * t))
         h = interaction_hamiltonian(0.7, fields)
         assert np.abs(h - h.conj().T).max() < 1e-15
         assert h[0, 1] == pytest.approx((0.3 + 0.2j) * np.exp(1j * 2.0 * 0.7))
@@ -239,9 +230,9 @@ class TestInteractionHamiltonian:
     @pytest.mark.parametrize("t", [0.5e-7, np.linspace(-1e-8, 1.1e-7, 37)], ids=["scalar", "array"])
     def test_expands_the_drive_rows(self, t):
         # rows above the diagonal, their conjugates below, zeros on it; the
-        # (1,2) drive is a constant_drive, which returns a scalar
+        # (1,2) drive is a constant amplitude, which returns a scalar
         base = noncommuting_detuned_fields()
-        fields = replace(base, drive_12=constant_drive(0.3 - 0.2j))
+        fields = replace(base, drive_12=lambda t: 0.3 - 0.2j)
         rows = _drive_rows(t, fields)
         h = interaction_hamiltonian(t, fields)
         assert rows.shape == (3,) + np.shape(t)
@@ -284,9 +275,9 @@ class TestOrderedProduct:
 
 class TestPropagate:
     def test_zero_hamiltonian_gives_identity(self):
-        fields = CouplingSet(zero_drive(), zero_drive(), zero_drive())
-        u = propagate(fields, (0.0, 1.0), TimeGrid(10))
-        assert np.abs(u - np.eye(3)).max() < 1e-15
+        # an absent drive is zero: no drive at all propagates to the identity exactly
+        u = propagate(CouplingSet(), (0.0, 1.0), TimeGrid(10))
+        assert (u == np.eye(3)).all()
 
     def test_rectangular_quarter_pulse_single_step(self):
         # piecewise-constant drive is exact even for one step
@@ -331,11 +322,7 @@ class TestPropagate:
         # overlapping drives with different envelopes do not commute in time
         env_a = envelope("gaussian", 1.1, duration=1e-7)
         env_b = envelope("sin_squared", 0.8, duration=1e-7)
-        fields = CouplingSet(
-            drive_12=env_a,
-            drive_23=env_b,
-            drive_13=zero_drive(),
-        )
+        fields = CouplingSet(drive_12=env_a, drive_23=env_b)
         window = (0.0, 1e-7)
         reference = propagate(fields, window, TimeGrid(16384))
         defects = [
@@ -353,11 +340,7 @@ class TestPropagate:
         assert np.abs(u - scalar_midpoint_propagate(fields, window, steps)).max() < 1e-13
 
     def test_nonfinite_error_names_first_bad_time(self):
-        fields = CouplingSet(
-            drive_12=lambda t: np.where(t > 0.75, np.nan, 1.0),
-            drive_23=zero_drive(),
-            drive_13=zero_drive(),
-        )
+        fields = CouplingSet(drive_12=lambda t: np.where(t > 0.75, np.nan, 1.0))
         steps = 2 * _CHUNK + 8  # the first bad midpoint lies in the second chunk
         dt = 1.0 / steps
         first_bad = next(
@@ -367,13 +350,8 @@ class TestPropagate:
             propagate(fields, (0.0, 1.0), TimeGrid(steps))
 
     def test_nonfinite_amplitude_raises(self):
-        fields = CouplingSet(
-            drive_12=constant_drive(np.nan),
-            drive_23=zero_drive(),
-            drive_13=zero_drive(),
-        )
         with pytest.raises(ArithmeticError):
-            propagate(fields, (0.0, 1.0), TimeGrid(4))
+            propagate(constant_12(np.nan), (0.0, 1.0), TimeGrid(4))
 
     @pytest.mark.parametrize("amp", [1e8, 1e20, 1e100, 1e160, 1e300])
     def test_step_beyond_phase_bound_raises(self, amp):
@@ -888,7 +866,7 @@ class TestWorkspace:
 
         u = {}
         for name, drive in (("nested", nested), ("fixed", fixed)):
-            fields = CouplingSet(drive_12=drive, drive_23=env, drive_13=zero_drive())
+            fields = CouplingSet(drive_12=drive, drive_23=env)
             u[name] = propagate(fields, window, TimeGrid(_CHUNK + 5)).tobytes()
         assert u["nested"] == u["fixed"]
 
@@ -998,6 +976,11 @@ class TestApplyToDensity:
     def test_non_unit_trace_rejected(self):
         with pytest.raises(ValueError):
             apply_to_density(np.eye(3), np.diag([0.5, 0.3, 0.1]))
+
+    @pytest.mark.parametrize("rho", [np.eye(2) / 2.0, np.full(9, 1.0 / 3.0)], ids=["2x2", "flat"])
+    def test_non_3x3_rejected(self, rho):
+        with pytest.raises(ValueError, match=r"^density matrix must be 3x3, got shape"):
+            apply_to_density(np.eye(3), rho)
 
     def test_non_hermitian_rejected(self):
         rho = np.diag([0.5, 0.3, 0.2]).astype(complex)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ctlsim import rotor
 from ctlsim.rotor import (
     RotationalConstants,
+    RotorLevel,
     block_energies,
     build_rotor_block,
     rotor_levels,
@@ -159,6 +160,10 @@ class TestBlockEnergies:
 
 
 class TestRotorLevels:
+    def test_negative_j_rejected(self):
+        with pytest.raises(ValueError, match="^J must be non-negative, got -1$"):
+            RotorLevel(j=-1, tau=0, energy_ghz=0.0)
+
     def test_j0(self, propanediol):
         levels = rotor_levels(0, propanediol)
         assert len(levels) == 1

@@ -273,8 +273,37 @@ class TestValidation:
                 "int too large to convert to float",
             ),
             (MINIMAL.replace("mode: purely_rotational", "mode: bogus"), "ctls.mode", UNKNOWN_MODE),
+            # a boolean is not a number, though Python counts it as an int
+            (
+                MINIMAL + "\ntemperatures: {t_rot_k: true}\n",
+                "temperatures.t_rot_k",
+                "expected a number, got True",
+            ),
+            (
+                MINIMAL.replace("{vib: 0, J: 0,", "{vib: 0, J: 0.5,"),
+                "ctls.levels[0].J",
+                "expected an integer, got 0.5",
+            ),
+            (
+                MINIMAL.replace("name: test-molecule", "name: 7"),
+                "molecule.name",
+                "expected a string, got 7",
+            ),
+            (
+                MINIMAL + "\nsweep: {log_scale: 1}\n",
+                "sweep.log_scale",
+                "expected true/false, got 1",
+            ),
+            (
+                MINIMAL.replace("name: test-molecule", "name: m\n  vibrational_modes: 5"),
+                "molecule.vibrational_modes",
+                "expected a list, got int",
+            ),
         ],
-        ids=["huge-int-A", "huge-int-t_rot", "unknown-mode"],
+        ids=[
+            "huge-int-A", "huge-int-t_rot", "unknown-mode", "bool-number", "float-integer",
+            "int-string", "int-boolean", "int-list",
+        ],
     )
     def test_bad_value_names_field(self, tmp_path, text, field, message):
         with pytest.raises(ScenarioError) as err:
@@ -283,10 +312,12 @@ class TestValidation:
         assert str(err.value) == f"{field}: {message}"
 
     def test_bad_labeling_rejected(self, tmp_path):
+        # the parser names the field, before a level is read by an unknown labeling
         text = MINIMAL + "\nlabeling: other\n"
         with pytest.raises(ScenarioError) as err:
             parse_scenario(write(tmp_path, text))
-        assert "labeling" in str(err.value)
+        assert err.value.field == "labeling"
+        assert str(err.value) == "labeling: must be one of ('tau', 'ka_kc'), got 'other'"
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

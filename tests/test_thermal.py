@@ -135,6 +135,29 @@ class TestCtlsPopulations:
         with pytest.raises(ValueError):
             Temperatures(-1.0, 300.0)
 
+    def test_temperature_grid_of_more_dimensions_rejected(self, propanediol):
+        message = r"^t_rot_k must be a float or a 1-D array, got shape \(2, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            rotational_partition(propanediol, np.full((2, 2), 10.0))
+
+    @pytest.mark.parametrize("frequency", [0.0, -1.0, np.nan, np.inf])
+    def test_mode_frequency_must_be_finite_and_positive(self, frequency):
+        with pytest.raises(ValueError, match="^mode frequency must be finite and > 0, got"):
+            VibrationalMode(name="m", frequency_thz=frequency)
+
+    @pytest.mark.parametrize(
+        "quantum, energy, message",
+        [
+            (-1, 0.0, "vib_quantum must be >= 0, got -1"),
+            (1, -1.0, "vib_energy_thz must be >= 0, got -1.0"),
+        ],
+        ids=["negative-quantum", "negative-energy"],
+    )
+    def test_level_vibration_must_be_non_negative(self, quantum, energy, message):
+        rot = RotorLevel(j=0, tau=0, energy_ghz=0.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RoVibLevel(vib_quantum=quantum, vib_energy_thz=energy, rot=rot)
+
 
 class TestTinyTemperatures:
     """A positive temperature too small for its exponents to be finite."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,13 @@ class TestLevelLabeling:
         with pytest.raises(ValueError):
             make_level(PROPANEDIOL, (), 1, 1, 0, 1)
 
+    def test_quantum_above_max_quanta_rejected(self):
+        assert make_level(PROPANEDIOL, (OH_STRETCH,), 5, 1, 0, 1).vib_quantum == 5
+        with pytest.raises(
+            ValueError, match="^vib quantum 6 exceeds max_quanta 5 of mode 'OH-stretch'$"
+        ):
+            make_level(PROPANEDIOL, (OH_STRETCH,), 6, 1, 0, 1)
+
 
 class TestCtlsConfig:
     def test_rovib_pattern_enforced(self):
@@ -95,6 +104,16 @@ class TestCtlsConfig:
             make_level(PROPANEDIOL, modes, 1, 1, 1, 0),
         )
         with pytest.raises(ValueError):
+            CtlsConfig(RO_VIBRATIONAL, PROPANEDIOL, modes, levels)
+
+    @pytest.mark.parametrize("quanta", [(0, 0, 1), (0, 1, 0), (1, 1, 1)])
+    def test_rovib_quanta_rule_names_the_quanta(self, quanta):
+        # the ground level unexcited and both others excited, whatever the labels
+        modes = (OH_STRETCH,)
+        labels = ((0, 0, 0), (1, 0, 1), (1, 1, 0))
+        levels = tuple(make_level(PROPANEDIOL, modes, v, *l) for v, l in zip(quanta, labels))
+        message = f"ro_vibrational loop needs vib quanta (0, >0, >0), got {quanta}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CtlsConfig(RO_VIBRATIONAL, PROPANEDIOL, modes, levels)
 
     def test_purely_rotational_pattern_enforced(self):

@@ -261,6 +261,58 @@ MUTANTS = (
         "    _mirror_13(u[::3], Chirality.L)\n    u = _polar(u)\n",
         "    u = _polar(u)\n    _mirror_13(u[::3], Chirality.L)\n",
     ),
+    # Scenario validation: an unknown key let through, a boolean read as a
+    # number, and an unknown labeling left for a level to trip over
+    (
+        "unknown-key-accepted",
+        "ctlsim/scenario.py",
+        'raise ScenarioError(label, "unknown key")',
+        "return",
+    ),
+    (
+        "number-accepts-bool",
+        "ctlsim/scenario.py",
+        "if isinstance(value, bool) or not isinstance(value, (int, float)):",
+        "if not isinstance(value, (int, float)):",
+    ),
+    (
+        "labeling-unchecked",
+        "ctlsim/scenario.py",
+        "if labeling not in LABELINGS:",
+        "if False:",
+    ),
+    # Loop and sweep rules: the sweep's point bounds, the ladder's top quantum
+    # and either half of the ro-vibrational quanta rule
+    (
+        "sweep-one-point",
+        "ctlsim/transfer.py",
+        "if not 2 <= points <= _MAX_POINTS:",
+        "if not 1 <= points <= _MAX_POINTS:",
+    ),
+    (
+        "sweep-points-unbounded",
+        "ctlsim/transfer.py",
+        "if not 2 <= points <= _MAX_POINTS:",
+        "if not 2 <= points:",
+    ),
+    (
+        "max-quanta-off-by-one",
+        "ctlsim/transfer.py",
+        "if vib > 0 and vib > modes[0].max_quanta:",
+        "if vib > 0 and vib > modes[0].max_quanta + 1:",
+    ),
+    (
+        "rovib-ground-excited",
+        "ctlsim/transfer.py",
+        "(quanta[0] != 0 or 0 in quanta[1:])",
+        "(0 in quanta[1:])",
+    ),
+    (
+        "rovib-upper-unexcited",
+        "ctlsim/transfer.py",
+        "(quanta[0] != 0 or 0 in quanta[1:])",
+        "(quanta[0] != 0)",
+    ),
 )
 
 

@@ -271,7 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"ctlsim: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except Exception as exc:
-        print(f"ctlsim: {exc}", file=sys.stderr)
+        print(f"ctlsim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
 

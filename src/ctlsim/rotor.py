@@ -9,11 +9,11 @@ representation independent.
 Each J block couples only k <-> k+-2 and is unchanged under k -> -k, so the
 Wang combinations (|k> +- |-k>)/sqrt(2) split it exactly into four
 tridiagonal blocks of about J/2 rows: E+ (k = 0, 2, ...), E- (k = 2, 4, ...),
-O+ and O- (k = 1, 3, ...). ``block_energies`` builds those directly from the
-matrix elements with k >= -1 and diagonalises them instead of the full block,
-which it never forms (Wang, Phys. Rev. 34, 243 (1929); King, Hainer and
-Cross, J. Chem. Phys. 11, 27 (1943)). ``build_rotor_block`` keeps the full
-block as the oracle.
+O+ and O- (k = 1, 3, ...). These Wang bands, built from the matrix elements
+with k >= -1, are the one J-block builder; ``block_energies`` never forms the
+full block (Wang, Phys. Rev. 34, 243 (1929); King, Hainer and Cross,
+J. Chem. Phys. 11, 27 (1943)). Its dense oracles are ``generic_block`` in
+tests/test_rotor.py and ``rotor_energies`` in perfbench/oracle.py.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "RotorLevel",
     "J_MAX",
     "block_energies",
-    "build_rotor_block",
     "level_index",
     "rotor_levels",
     "rotor_spectrum",
@@ -89,54 +88,35 @@ def level_index(j: int, tau: int) -> int:
     return tau + j
 
 
-def build_rotor_block(j: int, constants: RotationalConstants) -> np.ndarray:
-    """Rigid-rotor Hamiltonian block for angular momentum ``j`` in GHz.
-
-    Returns the real symmetric (2J+1) x (2J+1) matrix of
-    A*Ja^2 + B*Jb^2 + C*Jc^2 in the symmetric-top basis with the a axis as
-    quantization axis: diagonal (B+C)/2 * [J(J+1) - k^2] + A*k^2, and
-    k <-> k+-2 couplings (B-C)/4 * sqrt(J(J+1) - k(k+-1)) * sqrt(J(J+1) - (k+-1)(k+-2)).
-    """
-    if j < 0:
-        raise ValueError(f"J must be non-negative, got {j}")
-    return _symmetric_band(*_matrix_elements(j, constants, -j), 2)
-
-
-def _matrix_elements(
-    j: int, constants: RotationalConstants, k_min: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """<k|H|k> for k = k_min..J and <k|H|k+2> for k = k_min..J-2, in GHz."""
+def _matrix_elements(j: int, constants: RotationalConstants) -> tuple[np.ndarray, np.ndarray]:
+    """<k|H|k> = (B+C)/2 * [J(J+1) - k^2] + A*k^2 for k = -1..J and
+    <k|H|k+2> = (B-C)/4 * sqrt(J(J+1) - k(k+1)) * sqrt(J(J+1) - (k+1)(k+2))
+    for k = -1..J-2, in GHz, of H = A*Ja^2 + B*Jb^2 + C*Jc^2 in the
+    symmetric-top basis with the a axis as quantization axis."""
     a, b, c = constants.A, constants.B, constants.C
     jj = j * (j + 1)
-    k = np.arange(k_min, j + 1)
+    k = np.arange(-1, j + 1)
     diagonal = 0.5 * (b + c) * (jj - k**2) + a * k**2
     k = k[:-2]
     coupling = 0.25 * (b - c) * np.sqrt(jj - k * (k + 1)) * np.sqrt(jj - (k + 1) * (k + 2))
     return diagonal, coupling
 
 
-def _symmetric_band(diagonal: np.ndarray, off: np.ndarray, offset: int) -> np.ndarray:
-    """Symmetric matrix with ``diagonal`` and ``off`` ``offset`` places beside it."""
-    matrix = np.diag(diagonal)
-    i = np.arange(len(off))
-    matrix[i, i + offset] = matrix[i + offset, i] = off
-    return matrix
-
-
-def _wang_blocks(j: int, constants: RotationalConstants) -> Iterator[np.ndarray]:
-    """Yield the tridiagonal Wang blocks E+, E-, O+ and O- of one J block,
-    one at a time, built from its k >= -1 matrix elements."""
+def _wang_blocks(
+    j: int, constants: RotationalConstants
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (diagonal, sub-diagonal) of the Wang blocks E+, E-, O+ and O- of one J block."""
     # index k + 1 holds <k|H|k> and <k|H|k+2>
-    diagonal, coupling = _matrix_elements(j, constants, -1)
+    diagonal, coupling = _matrix_elements(j, constants)
     e_plus = coupling[1::2].copy()
     e_plus[:1] *= np.sqrt(2.0)  # <0|H|2> couples |0> to (|2> + |-2>)/sqrt(2)
-    yield _symmetric_band(diagonal[1::2], e_plus, 1)
-    yield _symmetric_band(diagonal[3::2], coupling[3::2], 1)
+    yield diagonal[1::2], e_plus
+    yield diagonal[3::2], coupling[3::2]
     if j:
         for sign in (1.0, -1.0):  # O+- gain +-<-1|H|1> on their |1> row
             odd = diagonal[2::2].copy()
             odd[0] += sign * coupling[0]
-            yield _symmetric_band(odd, coupling[2::2], 1)
+            yield odd, coupling[2::2]
 
 
 # Room for all of one molecule's blocks up to any J a level or a partition
@@ -145,13 +125,19 @@ def _wang_blocks(j: int, constants: RotationalConstants) -> Iterator[np.ndarray]
 def block_energies(j: int, constants: RotationalConstants) -> np.ndarray:
     """Ascending eigenvalues of one J block, cached per (J, constants).
 
-    The Wang blocks are built and diagonalised one at a time, so no
-    (2J+1) x (2J+1) array exists. Every caller shares the cached array, so
-    it is returned read-only.
+    The Wang blocks are built and diagonalised one at a time, each as the
+    lower band that ``eigvalsh(..., UPLO="L")`` reads, so no (2J+1) x (2J+1)
+    array exists. Every caller shares the cached array, so it is returned
+    read-only.
     """
-    energies = np.sort(
-        np.concatenate([np.linalg.eigvalsh(w, UPLO="L") for w in _wang_blocks(j, constants)])
-    )
+    if j < 0:
+        raise ValueError(f"J must be non-negative, got {j}")
+    spectra = []
+    for diagonal, sub in _wang_blocks(j, constants):
+        band = np.diag(diagonal)
+        np.fill_diagonal(band[1:], sub)
+        spectra.append(np.linalg.eigvalsh(band, UPLO="L"))
+    energies = np.sort(np.concatenate(spectra))
     energies.flags.writeable = False
     return energies
 

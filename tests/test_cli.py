@@ -338,12 +338,17 @@ class TestScenarioHandling:
         assert err.startswith(f"ctlsim: invalid scenario: {message}")
 
     def test_computation_failure_exit_1(self, capsys, scenario_path, monkeypatch):
-        def fail(*args):
-            raise ArithmeticError("the sweep failed")
+        # the type is named: str(KeyError('t_rot_k')) is only the quoted key
+        for exc, message in (
+            (ArithmeticError("the sweep failed"), "ArithmeticError: the sweep failed"),
+            (KeyError("t_rot_k"), "KeyError: 't_rot_k'"),
+        ):
+            def fail(*args, exc=exc):
+                raise exc
 
-        monkeypatch.setattr(cli, "yield_sweep", fail)
-        code, out, err = run_cli(capsys, "yield", "--scenario", scenario_path)
-        assert (code, out, err) == (EXIT_FAILURE, "", "ctlsim: the sweep failed\n")
+            monkeypatch.setattr(cli, "yield_sweep", fail)
+            code, out, err = run_cli(capsys, "yield", "--scenario", scenario_path)
+            assert (code, out, err) == (EXIT_FAILURE, "", f"ctlsim: {message}\n")
 
     @pytest.mark.parametrize(
         "old, new, message",

@@ -10,7 +10,6 @@ from ctlsim.rotor import (
     RotationalConstants,
     RotorLevel,
     block_energies,
-    build_rotor_block,
     rotor_levels,
     rotor_spectrum,
 )
@@ -63,15 +62,10 @@ class TestRotationalConstants:
             RotationalConstants(a, b, c)
 
 
-class TestBuildRotorBlock:
-    def test_j0_is_zero(self, propanediol):
-        block = build_rotor_block(0, propanediol)
-        assert block.shape == (1, 1)
-        assert block[0, 0] == 0.0
-
+class TestGenericBlock:
     def test_j1_entries(self, propanediol):
         a, b, c = propanediol.A, propanediol.B, propanediol.C
-        block = build_rotor_block(1, propanediol)
+        block = generic_block(1, a, b, c)
         assert block[0, 0] == pytest.approx(0.5 * (b + c) + a, abs=1e-12)
         assert block[1, 1] == pytest.approx(b + c, abs=1e-12)
         assert block[2, 2] == pytest.approx(0.5 * (b + c) + a, abs=1e-12)
@@ -79,33 +73,36 @@ class TestBuildRotorBlock:
         assert block[2, 0] == block[0, 2]
         assert block[0, 1] == block[1, 0] == block[1, 2] == block[2, 1] == 0.0
 
+
+class TestBlockEnergies:
+    def test_j0_is_zero(self, propanediol):
+        assert block_energies(0, propanediol).tolist() == [0.0]
+
     @pytest.mark.parametrize("j", range(6))
     def test_trace_identity(self, j, propanediol):
-        # trace = (A+B+C) J(J+1)(2J+1)/3, checked against brute-force sum
-        block = build_rotor_block(j, propanediol)
+        # trace = (A+B+C) J(J+1)(2J+1)/3, checked against the eigenvalue sum
         total = propanediol.A + propanediol.B + propanediol.C
-        assert np.trace(block) == pytest.approx(
+        assert block_energies(j, propanediol).sum() == pytest.approx(
             total * j * (j + 1) * (2 * j + 1) / 3.0, rel=1e-12
         )
 
     def test_negative_j_rejected(self, propanediol):
-        with pytest.raises(ValueError):
-            build_rotor_block(-1, propanediol)
+        for levels in (block_energies, rotor_levels):
+            with pytest.raises(ValueError, match="^J must be non-negative, got -1$"):
+                levels(-1, propanediol)
 
     @given(constants_strategy(), st.integers(min_value=0, max_value=6))
     @settings(deadline=None, max_examples=50)
     def test_spectrum_representation_independent(self, constants, j):
         # same eigenvalues whichever inertial axis is the quantization axis
         a, b, c = constants.A, constants.B, constants.C
-        reference = np.linalg.eigvalsh(build_rotor_block(j, constants))
-        for axis, t1, t2 in ((b, c, a), (c, a, b)):
+        energies = block_energies(j, constants)
+        for axis, t1, t2 in ((a, b, c), (b, c, a), (c, a, b)):
             other = np.linalg.eigvalsh(generic_block(j, axis, t1, t2))
-            assert np.allclose(np.sort(other), reference, atol=1e-9)
+            assert np.allclose(np.sort(other), energies, atol=1e-9)
 
-
-class TestBlockEnergies:
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 7, 30, 120, 200])
-    @given(constants=constants_strategy())
+    @given(constants=constants_strategy(1e-3, 1e3))
     @example(constants=RotationalConstants(10.0, 4.0, 4.0))  # B = C, prolate top
     @example(constants=RotationalConstants(5.0, 5.0, 2.0))  # A = B, oblate top
     @example(constants=RotationalConstants(3.0, 3.0, 3.0))  # A = B = C, spherical top
@@ -246,7 +243,7 @@ class TestRotorSpectrum:
 
 def test_j1_example_matches_dense_diagonalization():
     # dense 3x3 eigensolve as the cross-check for the frozen values
-    block = build_rotor_block(1, PROPANEDIOL)
+    block = generic_block(1, PROPANEDIOL.A, PROPANEDIOL.B, PROPANEDIOL.C)
     assert np.linalg.eigvalsh(block) == pytest.approx(
         [6.4241, 11.3131, 12.1598], abs=1e-9
     )

@@ -119,14 +119,22 @@ MUTANTS = (
     (
         "wang-e-minus-odd-couplings",
         "ctlsim/rotor.py",
-        "yield _symmetric_band(diagonal[3::2], coupling[3::2], 1)",
-        "yield _symmetric_band(diagonal[3::2], coupling[2::2][: len(diagonal[3::2]) - 1], 1)",
+        "yield diagonal[3::2], coupling[3::2]",
+        "yield diagonal[3::2], coupling[2::2][: len(diagonal[3::2]) - 1]",
     ),
     (
         "wang-corner-wrong-coupling",
         "ctlsim/rotor.py",
         "odd[0] += sign * coupling[0]",
         "odd[0] += sign * coupling[1:2].sum()",
+    ),
+    # Each Wang block's sub-diagonal written above the diagonal, where
+    # eigvalsh(..., UPLO="L") never reads it
+    (
+        "wang-band-above",
+        "ctlsim/rotor.py",
+        "np.fill_diagonal(band[1:], sub)",
+        "np.fill_diagonal(band[:, 1:], sub)",
     ),
     # The level table's tau column offset by J^2 alone, so that each block
     # starts at tau = 0

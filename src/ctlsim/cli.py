@@ -101,20 +101,25 @@ def _cmd_protocol(scenario: ScenarioFile, args) -> tuple[list[str], list[np.ndar
 _POPULATIONS = ["p1", "p2", "p3"]
 _PROPORTIONS = ["P1", "P2", "P3", "eta"]
 
-# target: (sweep kernel, loop modes, columns after t_rot_k). A mode of None
-# keeps the scenario's; the figure targets fix theirs.
+# target: (sweep kernel, loop modes, columns after t_rot_k, plot). A mode of
+# None keeps the scenario's; the figure targets fix theirs, and their plot is
+# (title, one series label per column, in column order).
 _SWEEPS = {
-    "excess": ("excess", (None,), ["epsilon"]),
-    "yield": ("yield", (None,), _PROPORTIONS),
-    "fig2c": ("population", (RO_VIBRATIONAL,), _POPULATIONS),
-    "fig2d": ("population", (PURELY_ROTATIONAL,), _POPULATIONS),
-    "fig3": ("excess", (RO_VIBRATIONAL, PURELY_ROTATIONAL), ["epsilon_rovib", "epsilon_rot"]),
-    "fig4": ("yield", (RO_VIBRATIONAL,), _PROPORTIONS),
+    "excess": ("excess", (None,), ["epsilon"], None),
+    "yield": ("yield", (None,), _PROPORTIONS, None),
+    "fig2c": ("population", (RO_VIBRATIONAL,), _POPULATIONS,
+              ("loop populations, ro-vibrational", _POPULATIONS)),
+    "fig2d": ("population", (PURELY_ROTATIONAL,), _POPULATIONS,
+              ("loop populations, purely rotational", _POPULATIONS)),
+    "fig3": ("excess", (RO_VIBRATIONAL, PURELY_ROTATIONAL), ["epsilon_rovib", "epsilon_rot"],
+             ("enantiomeric excess", ["ro-vibrational", "purely rotational"])),
+    "fig4": ("yield", (RO_VIBRATIONAL,), _PROPORTIONS,
+             ("whole-manifold proportions and yield", _PROPORTIONS)),
 }
 
 
 def _cmd_sweep(scenario: ScenarioFile, args) -> tuple[list[str], list[np.ndarray]]:
-    kernel, modes, columns = _SWEEPS[getattr(args, "target", args.command)]
+    kernel, modes, columns, _ = _SWEEPS[args.target]
     # looked up per call, so that names rebound on this module take effect
     sweep = {"excess": excess_sweep, "population": population_sweep, "yield": yield_sweep}[kernel]
     spec = scenario.sweep
@@ -126,20 +131,13 @@ def _cmd_sweep(scenario: ScenarioFile, args) -> tuple[list[str], list[np.ndarray
     return ["t_rot_k", *columns], [grid, *np.column_stack(tables).T]
 
 
-_PLOT_SPECS = {
-    "fig2c": ("loop populations, ro-vibrational", [("p1", 2), ("p2", 3), ("p3", 4)]),
-    "fig2d": ("loop populations, purely rotational", [("p1", 2), ("p2", 3), ("p3", 4)]),
-    "fig3": ("enantiomeric excess", [("ro-vibrational", 2), ("purely rotational", 3)]),
-    "fig4": ("whole-manifold proportions and yield", [("P1", 2), ("P2", 3), ("P3", 4), ("eta", 5)]),
-}
-
-
 def _plotscript(target: str, data_path: Path) -> str:
-    title, series = _PLOT_SPECS[target]
+    title, labels = _SWEEPS[target][3]
     name = data_path.name.replace("'", "''")  # gnuplot's escape inside single quotes
+    # column 1 is t_rot_k, so the series are columns 2, 3, ...
     plots = ", \\\n    ".join(
         f"'{name}' using 1:{col} with lines title '{label}'"
-        for label, col in series
+        for col, label in enumerate(labels, start=2)
     )
     return (
         "set datafile separator ','\n"
@@ -149,16 +147,6 @@ def _plotscript(target: str, data_path: Path) -> str:
         "set key left bottom\n"
         f"plot {plots}\n"
     )
-
-
-_COMMANDS = {
-    "levels": _cmd_levels,
-    "populations": _cmd_populations,
-    "protocol": _cmd_protocol,
-    "excess": _cmd_sweep,
-    "yield": _cmd_sweep,
-    "figure": _cmd_sweep,
-}
 
 
 def _int_range(minimum: int, maximum: int | None = None):
@@ -183,7 +171,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ctlsim", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(sub: _Parser) -> None:
+    def add_common(sub: _Parser, handler, **defaults) -> None:
+        # what the subcommand runs, with a sweep's ``target``, and the shared options
+        sub.set_defaults(handler=handler, emit_plotscript=False, **defaults)
         sub.add_argument(
             "--scenario",
             help=f"scenario file (default: ${SCENARIO_PATH_ENV} or the bundled one)",
@@ -198,32 +188,32 @@ def build_parser() -> _Parser:
 
     levels = subparsers.add_parser("levels", help="rotor level table")
     levels.add_argument("--jmax", type=_int_range(0, J_MAX), default=3)
-    add_common(levels)
+    add_common(levels, _cmd_levels)
 
     populations = subparsers.add_parser("populations", help="loop thermal populations")
-    add_common(populations)
+    add_common(populations, _cmd_populations)
 
     protocol = subparsers.add_parser(
         "protocol", help="closed-form and propagated composite unitaries"
     )
     protocol.add_argument("--chirality", choices=("L", "R", "both"), default="both")
     protocol.add_argument("--steps", type=_int_range(1), default=2000)
-    add_common(protocol)
+    add_common(protocol, _cmd_protocol)
 
     excess = subparsers.add_parser("excess", help="excess vs rotational temperature")
-    add_common(excess)
+    add_common(excess, _cmd_sweep, target="excess")
 
     yld = subparsers.add_parser("yield", help="manifold proportions and yield")
-    add_common(yld)
+    add_common(yld, _cmd_sweep, target="yield")
 
     figure = subparsers.add_parser("figure", help="emit one result-curve dataset")
-    figure.add_argument("target", choices=tuple(_PLOT_SPECS))
+    figure.add_argument("target", choices=tuple(t for t, row in _SWEEPS.items() if row[3]))
     figure.add_argument(
         "--emit-plotscript",
         action="store_true",
         help="also write a gnuplot script next to --output",
     )
-    add_common(figure)
+    add_common(figure, _cmd_sweep)
 
     return parser
 
@@ -233,13 +223,13 @@ def _run(args) -> int:
     if args.dump_config:
         text = dump_scenario(scenario)
     else:
-        text = _emit(*_COMMANDS[args.command](scenario, args), args.format)
+        text = _emit(*args.handler(scenario, args), args.format)
     try:
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8", newline="")
         else:
             sys.stdout.write(text)
-        if getattr(args, "emit_plotscript", False) and not args.dump_config:
+        if args.emit_plotscript and not args.dump_config:
             script = _plotscript(args.target, Path(args.output))
             Path(str(args.output) + ".gp").write_text(script, encoding="utf-8")
     except OSError as exc:
@@ -255,7 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
 
-    if getattr(args, "emit_plotscript", False) and (not args.output or args.format != "csv"):
+    if args.emit_plotscript and (not args.output or args.format != "csv"):
         print(
             "ctlsim figure: error: --emit-plotscript requires --output and --format csv",
             file=sys.stderr,

@@ -20,9 +20,9 @@ import yaml
 from .rotor import RotationalConstants
 from .thermal import Temperatures, VibrationalMode
 from .transfer import (
-    LABELINGS,
     RO_VIBRATIONAL,
     CtlsConfig,
+    check_labeling,
     check_mode,
     default_sweep_grid,
     make_level,
@@ -90,6 +90,10 @@ class ScenarioFile:
     echo: dict = field(compare=False, repr=False)
 
 
+# the kinds of value ``_Reader.value`` reads, as its messages name them
+_KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true/false"}
+
+
 class _Reader:
     """Mapping walker that tracks the key path, rejects unknown keys and
     records what it read.
@@ -98,7 +102,7 @@ class _Reader:
     with no value (null) counts as absent, so it takes its default or, when
     required, is reported missing.
 
-    Every typed getter, section and list stores what it returns under its
+    Every typed value, section and list stores what it returns under its
     key in ``echo``: defaults filled in, ``-0.0`` read as ``0.0``, keys in
     the order they were read rather than the order they were written. So
     the walk that reads a document also fixes how it is written back.
@@ -116,10 +120,6 @@ class _Reader:
     def _label(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else str(key)
 
-    def _store(self, key: str, value: _T) -> _T:
-        self.echo[key] = value
-        return value
-
     def get(self, key: str, default: Any = None, required: bool = False) -> Any:
         self._seen.add(key)
         value = self._data.get(key)
@@ -135,32 +135,20 @@ class _Reader:
         self.echo[key] = section.echo
         return section
 
-    def number(self, key: str, default: float | None = None, required: bool = False) -> float:
+    def value(self, key: str, kind: type, default: Any = None, required: bool = False) -> Any:
+        """The ``kind`` value under ``key``, ``kind`` one of ``_KINDS``: a bool
+        is never read as a number, and a number reads as a float."""
         value = self.get(key, default, required)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(self._label(key), f"expected a number, got {value!r}")
-        try:
-            return self._store(key, float(value) + 0.0)  # + 0.0 reads -0.0 as 0.0
-        except OverflowError as exc:  # an int beyond the float range
-            raise ScenarioError(self._label(key), str(exc)) from exc
-
-    def integer(self, key: str, default: int | None = None, required: bool = False) -> int:
-        value = self.get(key, default, required)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(self._label(key), f"expected an integer, got {value!r}")
-        return self._store(key, value)
-
-    def text(self, key: str, default: str | None = None, required: bool = False) -> str:
-        value = self.get(key, default, required)
-        if not isinstance(value, str):
-            raise ScenarioError(self._label(key), f"expected a string, got {value!r}")
-        return self._store(key, value)
-
-    def boolean(self, key: str, default: bool) -> bool:
-        value = self.get(key, default)
-        if not isinstance(value, bool):
-            raise ScenarioError(self._label(key), f"expected true/false, got {value!r}")
-        return self._store(key, value)
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+            raise ScenarioError(self._label(key), f"expected {_KINDS[kind]}, got {value!r}")
+        if kind is float:
+            try:
+                value = float(value) + 0.0  # + 0.0 reads -0.0 as 0.0
+            except OverflowError as exc:  # an int beyond the float range
+                raise ScenarioError(self._label(key), str(exc)) from exc
+        self.echo[key] = value
+        return value
 
     def sequence(self, key: str, required: bool = False) -> list["_Reader"]:
         """One reader per item of the list under ``key``, each item a mapping."""
@@ -195,51 +183,51 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
     root = _Reader(data, "")
 
     molecule = root.mapping("molecule", required=True)
-    name = molecule.text("name", required=True)
+    name = molecule.value("name", str, required=True)
     const_reader = molecule.mapping("rotational_constants_ghz", required=True)
-    a = const_reader.number("A", required=True)
-    b = const_reader.number("B", required=True)
-    c = const_reader.number("C", required=True)
+    a = const_reader.value("A", float, required=True)
+    b = const_reader.value("B", float, required=True)
+    c = const_reader.value("C", float, required=True)
     const_reader.finish()
     constants = _checked("molecule.rotational_constants_ghz", RotationalConstants, a, b, c)
 
     modes: list[VibrationalMode] = []
     for mode_reader in molecule.sequence("vibrational_modes"):
-        mode_name = mode_reader.text("name", required=True)
-        frequency = mode_reader.number("frequency_thz", required=True)
-        max_quanta = mode_reader.integer("max_quanta", 5)
+        mode_name = mode_reader.value("name", str, required=True)
+        frequency = mode_reader.value("frequency_thz", float, required=True)
+        max_quanta = mode_reader.value("max_quanta", int, 5)
         mode_reader.finish()
         modes.append(_checked(mode_reader.path, VibrationalMode, mode_name, frequency, max_quanta))
     molecule.finish()
 
     ctls_reader = root.mapping("ctls", required=True)
-    mode = ctls_reader.text("mode", required=True)
+    mode = ctls_reader.value("mode", str, required=True)
     _checked("ctls.mode", check_mode, mode)
     levels = []
     for level_reader in ctls_reader.sequence("levels", required=True):
         levels.append(
             LevelSpec(
-                vib=level_reader.integer("vib", required=True),
-                j=level_reader.integer("J", required=True),
-                tau=level_reader.integer("tau", required=True),
-                m=level_reader.integer("M", required=True),
+                vib=level_reader.value("vib", int, required=True),
+                j=level_reader.value("J", int, required=True),
+                tau=level_reader.value("tau", int, required=True),
+                m=level_reader.value("M", int, required=True),
             )
         )
         level_reader.finish()
     ctls_reader.finish()
 
     temps_reader = root.mapping("temperatures")
-    t_rot = temps_reader.number("t_rot_k", 10.0)
-    t_vib = temps_reader.number("t_vib_k", 300.0)
+    t_rot = temps_reader.value("t_rot_k", float, 10.0)
+    t_vib = temps_reader.value("t_vib_k", float, 300.0)
     temps_reader.finish()
     temperatures = _checked("temperatures", Temperatures, t_rot, t_vib)
 
     sweep_reader = root.mapping("sweep")
     sweep = SweepSpec(
-        t_rot_min_k=sweep_reader.number("t_rot_min_k", 1e-3),
-        t_rot_max_k=sweep_reader.number("t_rot_max_k", 300.0),
-        points=sweep_reader.integer("points", 200),
-        log_scale=sweep_reader.boolean("log_scale", True),
+        t_rot_min_k=sweep_reader.value("t_rot_min_k", float, 1e-3),
+        t_rot_max_k=sweep_reader.value("t_rot_max_k", float, 300.0),
+        points=sweep_reader.value("points", int, 200),
+        log_scale=sweep_reader.value("log_scale", bool, True),
     )
     sweep_reader.finish()
     _checked(
@@ -247,9 +235,8 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
         sweep.t_rot_min_k, sweep.t_rot_max_k, sweep.points, sweep.log_scale,
     )
 
-    labeling = root.text("labeling", "tau")
-    if labeling not in LABELINGS:
-        raise ScenarioError("labeling", f"must be one of {LABELINGS}, got {labeling!r}")
+    labeling = root.value("labeling", str, "tau")
+    _checked("labeling", check_labeling, labeling)
     root.finish()
 
     scenario = ScenarioFile(

@@ -35,6 +35,7 @@ __all__ = [
     "CtlsConfig",
     "rotor_level_for_labels",
     "make_level",
+    "check_labeling",
     "check_mode",
     "final_states",
     "enantiomeric_excess",
@@ -68,21 +69,27 @@ def rotor_level_for_labels(
     conventions agree on which J block is meant, they only reorder levels
     within it.
     """
+    check_labeling(labeling)
     if labeling == "tau":
         tau = first
         if not -j <= second <= j:
             raise ValueError(f"M must lie in [-J, J], got M={second} for J={j}")
-    elif labeling == "ka_kc":
+    else:
         ka, kc = first, second
         if not (0 <= ka <= j and 0 <= kc <= j and ka + kc in (j, j + 1)):
             raise ValueError(
                 f"(K_a, K_c) = ({ka}, {kc}) is not a valid label for J = {j}"
             )
         tau = ka - kc
-    else:
-        raise ValueError(f"labeling must be one of {LABELINGS}, got {labeling!r}")
     index = level_index(j, tau)  # before the block is built: J may be huge
     return rotor_levels(j, constants)[index]
+
+
+def check_labeling(labeling: str) -> None:
+    """Raise ``ValueError`` unless ``labeling`` names a level-label convention;
+    the message leaves the field to the caller, as a scenario names it."""
+    if labeling not in LABELINGS:
+        raise ValueError(f"must be one of {LABELINGS}, got {labeling!r}")
 
 
 def check_mode(mode: str) -> None:

@@ -102,6 +102,53 @@ def level_2_lowest_scenario(tmp_path, loop: str) -> str:
     path.write_text(text, encoding="utf-8")
     return str(path)
 
+
+# the whole gnuplot script of each figure: one series per data column after
+# t_rot_k, labelled and numbered in column order
+PLOTSCRIPTS = {
+    "fig2c": """\
+set datafile separator ','
+set logscale x
+set xlabel 'T_rot (K)'
+set title 'loop populations, ro-vibrational'
+set key left bottom
+plot 'fig2c.csv' using 1:2 with lines title 'p1', \\
+    'fig2c.csv' using 1:3 with lines title 'p2', \\
+    'fig2c.csv' using 1:4 with lines title 'p3'
+""",
+    "fig2d": """\
+set datafile separator ','
+set logscale x
+set xlabel 'T_rot (K)'
+set title 'loop populations, purely rotational'
+set key left bottom
+plot 'fig2d.csv' using 1:2 with lines title 'p1', \\
+    'fig2d.csv' using 1:3 with lines title 'p2', \\
+    'fig2d.csv' using 1:4 with lines title 'p3'
+""",
+    "fig3": """\
+set datafile separator ','
+set logscale x
+set xlabel 'T_rot (K)'
+set title 'enantiomeric excess'
+set key left bottom
+plot 'fig3.csv' using 1:2 with lines title 'ro-vibrational', \\
+    'fig3.csv' using 1:3 with lines title 'purely rotational'
+""",
+    "fig4": """\
+set datafile separator ','
+set logscale x
+set xlabel 'T_rot (K)'
+set title 'whole-manifold proportions and yield'
+set key left bottom
+plot 'fig4.csv' using 1:2 with lines title 'P1', \\
+    'fig4.csv' using 1:3 with lines title 'P2', \\
+    'fig4.csv' using 1:4 with lines title 'P3', \\
+    'fig4.csv' using 1:5 with lines title 'eta'
+""",
+}
+
+
 @pytest.fixture
 def scenario_path(tmp_path):
     path = tmp_path / "small.scenario"
@@ -241,15 +288,19 @@ class TestFigures:
         assert out_a.read_bytes().endswith(b"\n")
 
     def test_emit_plotscript(self, capsys, scenario_path, tmp_path):
-        out = tmp_path / "fig3.csv"
-        code, _, _ = run_cli(
-            capsys, "figure", "fig3", "--scenario", scenario_path,
-            "--output", str(out), "--emit-plotscript",
-        )
+        for target, expected in PLOTSCRIPTS.items():
+            out = tmp_path / f"{target}.csv"
+            code, _, _ = run_cli(
+                capsys, "figure", target, "--scenario", scenario_path,
+                "--output", str(out), "--emit-plotscript",
+            )
+            assert code == EXIT_OK
+            assert (tmp_path / f"{target}.csv.gp").read_text() == expected, target
+
+    def test_figure_targets_are_the_plotted_ones(self, capsys):
+        code, out, _ = run_cli(capsys, "figure", "--help")
         assert code == EXIT_OK
-        script = (tmp_path / "fig3.csv.gp").read_text()
-        assert "set datafile separator ','" in script
-        assert "fig3.csv" in script
+        assert "{fig2c,fig2d,fig3,fig4}" in out
 
     def test_plotscript_quotes_the_data_file_name(self, capsys, scenario_path, tmp_path):
         out = tmp_path / "it's.csv"

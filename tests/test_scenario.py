@@ -73,6 +73,44 @@ HUGE_INT = "1" + "0" * 400  # a YAML int beyond the float range
 UNKNOWN_MODE = "mode must be one of ('ro_vibrational', 'purely_rotational'), got 'bogus'"
 
 
+# one key per kind of value: where it is written, how it is read back, and
+# the kind its type errors name
+TYPED_FIELDS = {
+    "temperatures.t_rot_k": (
+        lambda v: MINIMAL + f"\ntemperatures: {{t_rot_k: {v}}}\n",
+        lambda s: s.temperatures.t_rot_k,
+        "a number",
+    ),
+    "sweep.points": (
+        lambda v: MINIMAL + f"\nsweep: {{points: {v}}}\n",
+        lambda s: s.sweep.points,
+        "an integer",
+    ),
+    "molecule.name": (
+        lambda v: MINIMAL.replace("name: test-molecule", f"name: {v}"),
+        lambda s: s.molecule_name,
+        "a string",
+    ),
+    "sweep.log_scale": (
+        lambda v: MINIMAL + f"\nsweep: {{log_scale: {v}}}\n",
+        lambda s: s.sweep.log_scale,
+        "true/false",
+    ),
+}
+# each YAML value, as a type error shows it
+TYPED_VALUES = {
+    "true": "True", "7": "7", "7.5": "7.5", '"x"': "'x'", "[1]": "[1]", "{a: 1}": "{'a': 1}",
+}
+# the (field, value) pairs that parse, and what they read as
+TYPED_ACCEPTED = {
+    ("temperatures.t_rot_k", "7"): 7.0,
+    ("temperatures.t_rot_k", "7.5"): 7.5,
+    ("sweep.points", "7"): 7,
+    ("molecule.name", '"x"'): "x",
+    ("sweep.log_scale", "true"): True,
+}
+
+
 def write(tmp_path, text):
     path = tmp_path / "case.scenario"
     path.write_text(text, encoding="utf-8")
@@ -310,6 +348,22 @@ class TestValidation:
             parse_scenario(write(tmp_path, text))
         assert err.value.field == field
         assert str(err.value) == f"{field}: {message}"
+
+    @pytest.mark.parametrize("value", TYPED_VALUES)
+    @pytest.mark.parametrize("field", TYPED_FIELDS)
+    def test_typed_read_kind_matrix(self, tmp_path, field, value):
+        # every value against every kind: a value is read by its own kind only
+        place, read, kind = TYPED_FIELDS[field]
+        path = write(tmp_path, place(value))
+        if (field, value) in TYPED_ACCEPTED:
+            expected = TYPED_ACCEPTED[field, value]
+            got = read(parse_scenario(path))
+            assert got == expected and type(got) is type(expected)
+        else:
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(path)
+            assert err.value.field == field
+            assert str(err.value) == f"{field}: expected {kind}, got {TYPED_VALUES[value]}"
 
     def test_bad_labeling_rejected(self, tmp_path):
         # the parser names the field, before a level is read by an unknown labeling

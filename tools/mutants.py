@@ -270,7 +270,8 @@ MUTANTS = (
         "    u = _polar(u)\n    _mirror_13(u[::3], Chirality.L)\n",
     ),
     # Scenario validation: an unknown key let through, a boolean read as a
-    # number, and an unknown labeling left for a level to trip over
+    # number or as an integer only, and an unknown labeling left for a level
+    # to trip over
     (
         "unknown-key-accepted",
         "ctlsim/scenario.py",
@@ -280,14 +281,27 @@ MUTANTS = (
     (
         "number-accepts-bool",
         "ctlsim/scenario.py",
-        "if isinstance(value, bool) or not isinstance(value, (int, float)):",
-        "if not isinstance(value, (int, float)):",
+        "if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):",
+        "if not isinstance(value, accepted):",
+    ),
+    (
+        "integer-accepts-bool",
+        "ctlsim/scenario.py",
+        "(isinstance(value, bool) and kind is not bool)",
+        "(isinstance(value, bool) and kind is float)",
     ),
     (
         "labeling-unchecked",
-        "ctlsim/scenario.py",
+        "ctlsim/transfer.py",
         "if labeling not in LABELINGS:",
         "if False:",
+    ),
+    # A figure's plot series numbered from t_rot_k's column, not the first after it
+    (
+        "plot-columns-from-1",
+        "ctlsim/cli.py",
+        "enumerate(labels, start=2)",
+        "enumerate(labels, start=1)",
     ),
     # Loop and sweep rules: the sweep's point bounds, the ladder's top quantum
     # and either half of the ro-vibrational quanta rule

@@ -76,7 +76,7 @@ class VibrationalMode:
 
     name: str
     frequency_thz: float
-    max_quanta: int = 5
+    max_quanta: int
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.frequency_thz) or self.frequency_thz <= 0.0:

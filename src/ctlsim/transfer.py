@@ -60,7 +60,7 @@ def rotor_level_for_labels(
     j: int,
     first: int,
     second: int,
-    labeling: str = "tau",
+    labeling: str,
 ) -> RotorLevel:
     """Resolve a rotor level from its two printed subscript digits.
 
@@ -105,7 +105,7 @@ def make_level(
     j: int,
     first: int,
     second: int,
-    labeling: str = "tau",
+    labeling: str,
 ) -> RoVibLevel:
     """Build a ro-vibrational level; the vibrational quantum excites the
     first declared mode."""
@@ -193,8 +193,7 @@ def enantiomeric_excess(populations: np.ndarray) -> float | np.ndarray:
 
 
 def default_sweep_grid(
-    t_min_k: float = 1e-3, t_max_k: float = 300.0, points: int = 200,
-    log_scale: bool = True,
+    t_min_k: float, t_max_k: float, points: int, log_scale: bool
 ) -> np.ndarray:
     """Temperature grid matching the log-scale axes of the result curves."""
     if not 0.0 < t_min_k < t_max_k < np.inf:
@@ -213,7 +212,7 @@ def default_sweep_grid(
 
 
 def excess_sweep(
-    config: CtlsConfig, t_rot_values: Sequence[float], t_vib_k: float = 300.0
+    config: CtlsConfig, t_rot_values: Sequence[float], t_vib_k: float
 ) -> np.ndarray:
     """Enantiomeric excess at each rotational temperature, in input order.
 
@@ -231,16 +230,14 @@ def excess_sweep(
 
 
 def population_sweep(
-    config: CtlsConfig, t_rot_values: Sequence[float], t_vib_k: float = 300.0
+    config: CtlsConfig, t_rot_values: Sequence[float], t_vib_k: float
 ) -> np.ndarray:
     """Level populations (p1, p2, p3) per temperature; shape (N, 3)."""
     return loop_populations(config.levels, t_rot_values, t_vib_k)
 
 
 def yield_sweep(
-    config: CtlsConfig,
-    t_rot_values: Sequence[float],
-    t_vib_k: float = 300.0,
+    config: CtlsConfig, t_rot_values: Sequence[float], t_vib_k: float
 ) -> np.ndarray:
     """Whole-manifold proportions and yield per temperature; shape (N, 4).
 

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ctlsim.rotor import RotationalConstants
+from ctlsim.scenario import bundled_scenario_path, parse_scenario
 from ctlsim.thermal import VibrationalMode
 from ctlsim.transfer import (
     PURELY_ROTATIONAL,
     RO_VIBRATIONAL,
     CtlsConfig,
+    default_sweep_grid,
     make_level,
 )
 
@@ -28,9 +32,9 @@ def build_config(mode: str) -> CtlsConfig:
     modes = (OH_STRETCH,)
     excited = 1 if mode == RO_VIBRATIONAL else 0
     levels = (
-        make_level(PROPANEDIOL, modes, 0, 0, 0, 0),
-        make_level(PROPANEDIOL, modes, excited, 1, 0, 1),
-        make_level(PROPANEDIOL, modes, excited, 1, 1, 0),
+        make_level(PROPANEDIOL, modes, 0, 0, 0, 0, "tau"),
+        make_level(PROPANEDIOL, modes, excited, 1, 0, 1, "tau"),
+        make_level(PROPANEDIOL, modes, excited, 1, 1, 0, "tau"),
     )
     return CtlsConfig(
         mode=mode,
@@ -38,6 +42,13 @@ def build_config(mode: str) -> CtlsConfig:
         modes=modes,
         levels=levels,
     )
+
+
+def paper_grid(**changes) -> np.ndarray:
+    """The bundled scenario's sweep grid (1 mK to 300 K, 200 log-spaced
+    points), with ``changes`` to its ``sweep`` entries."""
+    sweep = replace(parse_scenario(bundled_scenario_path()).sweep, **changes)
+    return default_sweep_grid(sweep.t_rot_min_k, sweep.t_rot_max_k, sweep.points, sweep.log_scale)
 
 
 def label_digits(labeling):

@@ -17,14 +17,13 @@ from ctlsim.thermal import (
     yield_eta,
 )
 from ctlsim.transfer import (
-    default_sweep_grid,
     enantiomeric_excess,
     excess_sweep,
     final_states,
     yield_sweep,
 )
 
-from .conftest import PROPANEDIOL, build_config
+from .conftest import PROPANEDIOL, build_config, paper_grid
 
 CHIRALITIES = (Chirality.L, Chirality.R)
 
@@ -84,7 +83,7 @@ def test_criterion_4_rotational_excess_curve():
     )
     if not 0.015 <= eps_10 <= 0.030:
         failures.append(f"eps(10 K) = {eps_10} outside [0.015, 0.030]")
-    grid = default_sweep_grid()
+    grid = paper_grid()
     eps = excess_sweep(config, grid, 300.0)
     above = grid >= 0.01
     if not np.all(np.diff(eps[above]) <= 0.0):

@@ -17,9 +17,20 @@ from ctlsim.scenario import (
     scenario_from_mapping,
     to_ctls_config,
 )
-from ctlsim.transfer import LABELINGS, PURELY_ROTATIONAL, RO_VIBRATIONAL
+from ctlsim.thermal import VibrationalMode
+from ctlsim.transfer import (
+    LABELINGS,
+    PURELY_ROTATIONAL,
+    RO_VIBRATIONAL,
+    default_sweep_grid,
+    excess_sweep,
+    make_level,
+    population_sweep,
+    rotor_level_for_labels,
+    yield_sweep,
+)
 
-from .conftest import label_digits
+from .conftest import OH_STRETCH, PROPANEDIOL, build_config, label_digits
 
 MINIMAL = """
 molecule:
@@ -528,17 +539,25 @@ class TestModeOverride:
         # rotational labels preserved
         assert config.levels[2].rot.energy_ghz == pytest.approx(12.1598, abs=1e-9)
 
-    def test_to_ro_vibrational(self, tmp_path):
+    def test_to_ro_vibrational(self, tmp_path, capsys):
         text = MINIMAL.replace(
             "ctls:",
             "  vibrational_modes:\n"
             "    - {name: stretch, frequency_thz: 90.0}\n"
             "ctls:",
         )
-        scenario = parse_scenario(write(tmp_path, text))
+        path = write(tmp_path, text)
+        scenario = parse_scenario(path)
         config = to_ctls_config(scenario, RO_VIBRATIONAL)
         assert [lv.vib_quantum for lv in config.levels] == [0, 1, 1]
         assert config.levels[1].vib_energy_thz == pytest.approx(90.0)
+        # the mode's ladder takes the schema's default top, and the echo says so
+        assert scenario.vibrational_modes == (VibrationalMode("stretch", 90.0, 5),)
+        assert main(["excess", "--scenario", str(path), "--dump-config"]) == EXIT_OK
+        echo = yaml.safe_load(capsys.readouterr().out)
+        assert echo["molecule"]["vibrational_modes"] == [
+            {"name": "stretch", "frequency_thz": 90.0, "max_quanta": 5}
+        ]
 
     def test_to_ro_vibrational_without_modes_fails(self, tmp_path):
         scenario = parse_scenario(write(tmp_path, MINIMAL))
@@ -551,6 +570,29 @@ class TestModeOverride:
         with pytest.raises(ValueError, match=expected) as info:
             to_ctls_config(scenario, "bogus")
         assert not isinstance(info.value, ScenarioError)
+
+
+# library calls that leave out a value the scenario schema defaults, and the
+# parameters they then miss: the parser is the one home of each default
+WITHOUT_SCHEMA_DEFAULT = [
+    (excess_sweep, (build_config(PURELY_ROTATIONAL), [10.0]), "'t_vib_k'"),
+    (population_sweep, (build_config(PURELY_ROTATIONAL), [10.0]), "'t_vib_k'"),
+    (yield_sweep, (build_config(PURELY_ROTATIONAL), [10.0]), "'t_vib_k'"),
+    (default_sweep_grid, (), "'t_min_k', 't_max_k', 'points', and 'log_scale'"),
+    (VibrationalMode, ("m", 30.0), "'max_quanta'"),
+    (make_level, (PROPANEDIOL, (OH_STRETCH,), 0, 0, 0, 0), "'labeling'"),
+    (rotor_level_for_labels, (PROPANEDIOL, 1, 0, 1), "'labeling'"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, missing",
+    WITHOUT_SCHEMA_DEFAULT,
+    ids=[function.__name__ for function, _, _ in WITHOUT_SCHEMA_DEFAULT],
+)
+def test_library_call_needs_the_schema_value(function, args, missing):
+    with pytest.raises(TypeError, match=rf"missing \d required positional arguments?: {missing}$"):
+        function(*args)
 
 
 class TestResolution:

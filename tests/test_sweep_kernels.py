@@ -207,9 +207,9 @@ def test_excess_undefined_on_any_row_raises(grid, t_vib):
     # the excess of such a row raises, and the sweep takes its limit instead
     modes = (OH_STRETCH,)
     levels = (
-        make_level(PROPANEDIOL, modes, 0, 1, 0, 0),
-        make_level(PROPANEDIOL, modes, 0, 0, 0, 0),
-        make_level(PROPANEDIOL, modes, 0, 1, 1, 0),
+        make_level(PROPANEDIOL, modes, 0, 1, 0, 0, "tau"),
+        make_level(PROPANEDIOL, modes, 0, 0, 0, 0, "tau"),
+        make_level(PROPANEDIOL, modes, 0, 1, 1, 0, "tau"),
     )
     config = CtlsConfig(PURELY_ROTATIONAL, PROPANEDIOL, modes, levels)
     with pytest.raises(ValueError, match="excess undefined: levels 1 and 3 are both unoccupied"):
@@ -285,7 +285,7 @@ def test_overflowing_rotational_temperature_gives_the_cold_limit():
     # no level is J = 0, so at 1e-310 K every rotational exponent is infinite
     modes = (OH_STRETCH,)
     levels = tuple(
-        make_level(PROPANEDIOL, modes, 0, j, tau, 0) for j, tau in ((1, 0), (1, 1), (2, 0))
+        make_level(PROPANEDIOL, modes, 0, j, tau, 0, "tau") for j, tau in ((1, 0), (1, 1), (2, 0))
     )
     config = CtlsConfig(PURELY_ROTATIONAL, PROPANEDIOL, modes, levels)
     tiny = population_sweep(config, [1.0, 1e-310], 300.0)[1]

@@ -143,7 +143,7 @@ class TestCtlsPopulations:
     @pytest.mark.parametrize("frequency", [0.0, -1.0, np.nan, np.inf])
     def test_mode_frequency_must_be_finite_and_positive(self, frequency):
         with pytest.raises(ValueError, match="^mode frequency must be finite and > 0, got"):
-            VibrationalMode(name="m", frequency_thz=frequency)
+            VibrationalMode(name="m", frequency_thz=frequency, max_quanta=5)
 
     @pytest.mark.parametrize(
         "quantum, energy, message",
@@ -330,7 +330,7 @@ class TestVibrationalPartition:
     )
     def test_overflowing_exponent_leaves_the_ground_state(self, frequency_thz, t_vib_k):
         # h f / k T overflows to inf; only v = 0 survives, as at T_vib = 0
-        mode = VibrationalMode(name="stiff", frequency_thz=frequency_thz)
+        mode = VibrationalMode(name="stiff", frequency_thz=frequency_thz, max_quanta=5)
         assert vibrational_partition((mode,), t_vib_k) == 1.0
 
     @given(

@@ -21,7 +21,7 @@ from ctlsim.transfer import (
     yield_sweep,
 )
 
-from .conftest import OH_STRETCH, PROPANEDIOL
+from .conftest import OH_STRETCH, PROPANEDIOL, paper_grid
 
 EPS_10K = 0.029170639714099413  # direct arithmetic at 10 K, tau labeling
 
@@ -85,23 +85,23 @@ class TestLevelLabeling:
 
     def test_excited_level_requires_mode(self):
         with pytest.raises(ValueError):
-            make_level(PROPANEDIOL, (), 1, 1, 0, 1)
+            make_level(PROPANEDIOL, (), 1, 1, 0, 1, "tau")
 
     def test_quantum_above_max_quanta_rejected(self):
-        assert make_level(PROPANEDIOL, (OH_STRETCH,), 5, 1, 0, 1).vib_quantum == 5
+        assert make_level(PROPANEDIOL, (OH_STRETCH,), 5, 1, 0, 1, "tau").vib_quantum == 5
         with pytest.raises(
             ValueError, match="^vib quantum 6 exceeds max_quanta 5 of mode 'OH-stretch'$"
         ):
-            make_level(PROPANEDIOL, (OH_STRETCH,), 6, 1, 0, 1)
+            make_level(PROPANEDIOL, (OH_STRETCH,), 6, 1, 0, 1, "tau")
 
 
 class TestCtlsConfig:
     def test_rovib_pattern_enforced(self):
         modes = (OH_STRETCH,)
         levels = (
-            make_level(PROPANEDIOL, modes, 0, 0, 0, 0),
-            make_level(PROPANEDIOL, modes, 0, 1, 0, 1),
-            make_level(PROPANEDIOL, modes, 1, 1, 1, 0),
+            make_level(PROPANEDIOL, modes, 0, 0, 0, 0, "tau"),
+            make_level(PROPANEDIOL, modes, 0, 1, 0, 1, "tau"),
+            make_level(PROPANEDIOL, modes, 1, 1, 1, 0, "tau"),
         )
         with pytest.raises(ValueError):
             CtlsConfig(RO_VIBRATIONAL, PROPANEDIOL, modes, levels)
@@ -111,7 +111,9 @@ class TestCtlsConfig:
         # the ground level unexcited and both others excited, whatever the labels
         modes = (OH_STRETCH,)
         labels = ((0, 0, 0), (1, 0, 1), (1, 1, 0))
-        levels = tuple(make_level(PROPANEDIOL, modes, v, *l) for v, l in zip(quanta, labels))
+        levels = tuple(
+            make_level(PROPANEDIOL, modes, v, *l, "tau") for v, l in zip(quanta, labels)
+        )
         message = f"ro_vibrational loop needs vib quanta (0, >0, >0), got {quanta}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             CtlsConfig(RO_VIBRATIONAL, PROPANEDIOL, modes, levels)
@@ -119,9 +121,9 @@ class TestCtlsConfig:
     def test_purely_rotational_pattern_enforced(self):
         modes = (OH_STRETCH,)
         levels = (
-            make_level(PROPANEDIOL, modes, 0, 0, 0, 0),
-            make_level(PROPANEDIOL, modes, 1, 1, 0, 1),
-            make_level(PROPANEDIOL, modes, 1, 1, 1, 0),
+            make_level(PROPANEDIOL, modes, 0, 0, 0, 0, "tau"),
+            make_level(PROPANEDIOL, modes, 1, 1, 0, 1, "tau"),
+            make_level(PROPANEDIOL, modes, 1, 1, 1, 0, "tau"),
         )
         with pytest.raises(ValueError):
             CtlsConfig(PURELY_ROTATIONAL, PROPANEDIOL, modes, levels)
@@ -228,7 +230,7 @@ class TestEnantiomericExcess:
             constants=scaled,
             modes=(OH_STRETCH,),
             levels=tuple(
-                make_level(scaled, (OH_STRETCH,), 0, lv.rot.j, lv.rot.tau, 0)
+                make_level(scaled, (OH_STRETCH,), 0, lv.rot.j, lv.rot.tau, 0, "tau")
                 for lv in rotational_config.levels
             ),
         )
@@ -249,7 +251,7 @@ class TestSweeps:
         assert eps[0] > 0.999
 
     def test_rotational_excess_monotone(self, rotational_config):
-        grid = default_sweep_grid()
+        grid = paper_grid()
         eps = excess_sweep(rotational_config, grid, 300.0)
         above = grid >= 0.01
         assert np.all(np.diff(eps[above]) <= 0.0)
@@ -257,13 +259,13 @@ class TestSweeps:
         assert np.all(np.diff(eps[well_resolved]) < 0.0)
 
     def test_rovib_dominates_rotational(self, rovib_config, rotational_config):
-        grid = default_sweep_grid(points=40)
+        grid = paper_grid(points=40)
         eps_rovib = excess_sweep(rovib_config, grid, 300.0)
         eps_rot = excess_sweep(rotational_config, grid, 300.0)
         assert np.all(eps_rovib >= eps_rot - 1e-15)
 
     def test_population_sweep_rovib_ground_dominates(self, rovib_config):
-        grid = default_sweep_grid(points=30)
+        grid = paper_grid(points=30)
         table = population_sweep(rovib_config, grid, 300.0)
         assert table.shape == (30, 3)
         assert np.all(table[:, 0] > 1.0 - 1e-6)
@@ -286,12 +288,12 @@ class TestSweeps:
         assert table[1, 1] + table[1, 2] < 1e-7
 
     def test_default_grid_bounds(self):
-        grid = default_sweep_grid()
+        grid = paper_grid()
         assert len(grid) == 200
         assert grid[0] == pytest.approx(1e-3)
         assert grid[-1] == pytest.approx(300.0)
         with pytest.raises(ValueError):
-            default_sweep_grid(t_min_k=0.0)
+            default_sweep_grid(0.0, 300.0, 200, True)
 
 
 def test_boltzmann_exponent_difference_drives_excess(rotational_config):

@@ -296,6 +296,20 @@ MUTANTS = (
         "if labeling not in LABELINGS:",
         "if False:",
     ),
+    # The schema's defaults, whose one home is the parser: a mode's ladder top
+    # and the vibrational temperature
+    (
+        "max-quanta-default",
+        "ctlsim/scenario.py",
+        'mode_reader.value("max_quanta", int, 5)',
+        'mode_reader.value("max_quanta", int, 6)',
+    ),
+    (
+        "t-vib-default",
+        "ctlsim/scenario.py",
+        'temps_reader.value("t_vib_k", float, 300.0)',
+        'temps_reader.value("t_vib_k", float, 301.0)',
+    ),
     # A figure's plot series numbered from t_rot_k's column, not the first after it
     (
         "plot-columns-from-1",

@@ -71,7 +71,6 @@ __all__ = [
     "interaction_hamiltonian",
     "propagate",
     "run_protocol",
-    "apply_to_density",
 ]
 
 # Area of a unit-peak envelope per unit of its duration. The gaussian's
@@ -553,15 +552,3 @@ def run_protocol(
     _check_areas(schedule)
     # the grid checks the step count before the cache can match 2.0 or True to 2 or 1
     return _protocol_unitary(schedule, TimeGrid(steps_per_step))[chirality].copy()
-
-
-def apply_to_density(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Conjugate a density matrix by a unitary, U rho U^dagger."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
-        raise ValueError(f"density matrix must be 3x3, got shape {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > 1e-9:
-        raise ValueError(f"density matrix must have unit trace, got {np.trace(rho)}")
-    if np.abs(rho - rho.conj().T).max() > 1e-9:
-        raise ValueError("density matrix must be Hermitian")
-    return u @ rho @ u.conj().T

@@ -254,10 +254,30 @@ def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
     return scenario
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a key written twice in one mapping,
+    where it would keep the last value; a key that a merge (``<<``) brings
+    in may still be written over."""
+
+    def construct_mapping(self, node, deep=False):
+        written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # rejects unhashable keys first
+        seen = set()
+        for key_node in written:
+            key = self.construct_object(key_node, deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark,
+                )
+            seen.add(key)
+        return mapping
+
+
 def parse_scenario(path: str | Path) -> ScenarioFile:
     """Load and validate a scenario file."""
     try:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        data = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_UniqueKeyLoader)
     except UnicodeDecodeError as exc:
         raise ScenarioError("<document>", f"not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -43,7 +43,6 @@ __all__ = [
     "rotational_partition",
     "vibrational_partition",
     "global_proportion",
-    "yield_eta",
 ]
 
 H_PLANCK = 6.62607015e-34  # J s, exact SI
@@ -67,7 +66,7 @@ class Temperatures:
 
     def __post_init__(self) -> None:
         for name in ("t_rot_k", "t_vib_k"):
-            _temperature_grid(name, getattr(self, name))
+            _temperature(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,14 @@ def _temperature_grid(name: str, t_k: float | np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"{name} must be finite and >= 0, got {t[bad][0]}")
     return t
+
+
+def _temperature(name: str, t_k: float) -> float:
+    """One temperature in kelvin, where a grid would be a mistake: an array
+    is rejected, then the value is checked as ``_temperature_grid`` does."""
+    if np.ndim(t_k) > 0:
+        raise ValueError(f"{name} must be a float, got shape {np.shape(t_k)}")
+    return float(_temperature_grid(name, t_k)[0])
 
 
 def _exponents(energies_ghz: Sequence[float] | np.ndarray, t_k: float | np.ndarray) -> np.ndarray:
@@ -185,7 +192,7 @@ def _populations(
     vib = np.array([lv.vib_energy_ghz for lv in levels])
     rot = np.array([lv.rot.energy_ghz for lv in levels])
     x = _exponents(rot, t_rot)
-    (x_vib,) = _exponents(vib, _temperature_grid("t_vib_k", t_vib_k))
+    (x_vib,) = _exponents(vib, _temperature("t_vib_k", t_vib_k))
     hot = np.isfinite(x).all(axis=1)  # an infinite exponent freezes its row
     x[~hot] = 0.0
     if np.isfinite(x_vib).all():
@@ -243,7 +250,7 @@ def vibrational_partition(
     """
     modes = tuple(modes)
     (exponents,) = _exponents(
-        [1000.0 * mode.frequency_thz for mode in modes], _temperature_grid("t_vib_k", t_vib_k)
+        [1000.0 * mode.frequency_thz for mode in modes], _temperature("t_vib_k", t_vib_k)
     )
     z = 1.0
     for mode, x in zip(modes, exponents.tolist()):
@@ -269,15 +276,9 @@ def global_proportion(
     computed once for the grid.
     """
     t_rot = _temperature_grid("t_rot_k", t_rot_k)
+    t_vib = _temperature("t_vib_k", t_vib_k)
     z_rot = rotational_partition(constants, t_rot)
-    z_vib = vibrational_partition(modes, t_vib_k)
-    p_vib = np.exp(-_exponents([lv.vib_energy_ghz for lv in levels], t_vib_k))
+    z_vib = vibrational_partition(modes, t_vib)
+    p_vib = np.exp(-_exponents([lv.vib_energy_ghz for lv in levels], t_vib))
     p_rot = np.exp(-_exponents([lv.rot.energy_ghz for lv in levels], t_rot))
     return p_vib * p_rot / (z_vib * z_rot[:, None])
-
-
-def yield_eta(p1: float | np.ndarray) -> float | np.ndarray:
-    """Fraction of a racemic mixture converted to pure enantiomers, P1 / 2."""
-    if not np.all((0.0 <= p1) & (p1 <= 1.0)):
-        raise ValueError(f"P1 must lie in [0, 1], got {p1}")
-    return p1 / 2.0

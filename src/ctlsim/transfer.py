@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .ctls import Chirality, total_unitary
-from .propagator import apply_to_density, ideal_schedule, run_protocol
+from .propagator import ideal_schedule, run_protocol
 from .rotor import RotationalConstants, RotorLevel, level_index, rotor_levels
 from .thermal import (
     RoVibLevel,
@@ -25,7 +25,6 @@ from .thermal import (
     ctls_populations,
     global_proportion,
     loop_populations,
-    yield_eta,
 )
 
 __all__ = [
@@ -176,7 +175,7 @@ def final_states(
         u_right = run_protocol(schedule, Chirality.R)
     else:
         raise ValueError(f"method must be 'analytic' or 'numeric', got {method!r}")
-    return apply_to_density(u_left, rho), apply_to_density(u_right, rho)
+    return u_left @ rho @ u_left.conj().T, u_right @ rho @ u_right.conj().T
 
 
 def enantiomeric_excess(populations: np.ndarray) -> float | np.ndarray:
@@ -246,4 +245,4 @@ def yield_sweep(
     proportions = global_proportion(
         config.levels, config.constants, config.modes, t_rot_values, t_vib_k
     )
-    return np.column_stack([proportions, yield_eta(proportions[:, 0])])
+    return np.column_stack([proportions, proportions[:, 0] / 2.0])

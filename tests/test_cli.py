@@ -388,6 +388,24 @@ class TestScenarioHandling:
         assert (code, out) == (EXIT_SCHEMA, "")
         assert err.startswith(f"ctlsim: invalid scenario: {message}")
 
+    @pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump-config"])
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            (SMALL_SWEEP + "labeling: tau\nlabeling: ka_kc\n", "labeling", 16),
+            (SMALL_SWEEP.replace("propanediol\n", "propanediol\n  name: other\n"), "name", 4),
+            (SMALL_SWEEP.replace("t_vib_k: 300.0}", "t_vib_k: 300.0, t_rot_k: 20.0}"), "t_rot_k", 13),
+        ],
+        ids=["top-level", "section", "flow-mapping"],
+    )
+    def test_key_written_twice_exit_3(self, capsys, tmp_path, text, key, line, dump):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "populations", "--scenario", str(bad), *dump)
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err.startswith("ctlsim: invalid scenario: <document>: not valid YAML: ")
+        assert f'found duplicate key {key!r}\n  in "<unicode string>", line {line},' in err
+
     def test_computation_failure_exit_1(self, capsys, scenario_path, monkeypatch):
         # the type is named: str(KeyError('t_rot_k')) is only the quoted key
         for exc, message in (

@@ -36,6 +36,25 @@ def test_benchmark_span_targets_resolve():
     assert missing == []
 
 
+def spans_under_main(monkeypatch, capsys, command: str) -> Counter:
+    """The traced spans whose parent is ``cli.main``, by name, for one command."""
+    # the tracer rebinds ctlsim.cli's names after import, so a command that
+    # reached its targets through functions captured at import would run
+    # untraced even though every target name resolves
+    monkeypatch.delenv("CTLS_SCENARIO_PATH", raising=False)
+    tracer = load_spans().Tracer().install()
+    try:
+        code = importlib.import_module("ctlsim.cli").main(command.split())
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    names = [tracer.names[i] for i in tracer.name]
+    return Counter(
+        name for name, parent in zip(names, tracer.parent) if parent >= 0 and names[parent] == "cli.main"
+    )
+
+
 @pytest.mark.parametrize(
     "command, sweep, loops",
     [
@@ -47,23 +66,23 @@ def test_benchmark_span_targets_resolve():
     ],
 )
 def test_cli_sweeps_record_benchmark_spans(capsys, monkeypatch, command, sweep, loops):
-    # the tracer rebinds ctlsim.cli's names after import, so a command that
-    # reached the sweeps through functions captured at import would run
-    # untraced even though every target name resolves
-    monkeypatch.delenv("CTLS_SCENARIO_PATH", raising=False)
-    tracer = load_spans().Tracer().install()
-    try:
-        code = importlib.import_module("ctlsim.cli").main(command.split())
-    finally:
-        tracer.uninstall()
-    capsys.readouterr()
-    assert code == 0
-    names = [tracer.names[i] for i in tracer.name]
-    called_by_cli = Counter(
-        name for name, parent in zip(names, tracer.parent) if parent >= 0 and names[parent] == "cli.main"
-    )
+    called_by_cli = spans_under_main(monkeypatch, capsys, command)
     assert called_by_cli[sweep] == loops
     assert called_by_cli["scenario.to_ctls_config"] == loops
+
+
+@pytest.mark.parametrize(
+    "command, targets",
+    [
+        ("populations", {"thermal.ctls_populations": 1}),
+        ("protocol", {"propagator.run_protocol": 2, "ctls.total_unitary": 2}),
+        ("levels", {"rotor.rotor_spectrum": 1}),
+    ],
+)
+def test_cli_commands_record_benchmark_spans(capsys, monkeypatch, command, targets):
+    # a command routed around its target would read 0 on that layer's metrics
+    called_by_cli = spans_under_main(monkeypatch, capsys, command)
+    assert {name: called_by_cli[name] for name in targets} == targets
 
 
 def test_readme_library_example_runs_and_matches_namespace():

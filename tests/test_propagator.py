@@ -34,7 +34,6 @@ from ctlsim.propagator import (
     PulseSchedule,
     ScheduleError,
     TimeGrid,
-    apply_to_density,
     ideal_schedule,
     interaction_hamiltonian,
     propagate,
@@ -922,8 +921,8 @@ class TestRunProtocol:
             ideal_schedule(step_c_area=0.75 * np.pi), chirality, 2000
         )
         rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        pop_standard = np.diag(apply_to_density(standard, rho)).real
-        pop_alternate = np.diag(apply_to_density(alternate, rho)).real
+        pop_standard = np.diag(standard @ rho @ standard.conj().T).real
+        pop_alternate = np.diag(alternate @ rho @ alternate.conj().T).real
         assert pop_standard == pytest.approx(pop_alternate, abs=1e-8)
 
     @pytest.mark.parametrize("steps", [0, -1])
@@ -942,48 +941,3 @@ class TestRunProtocol:
     def test_numpy_integer_step_count_accepted(self, steps):
         u = run_protocol(ideal_schedule(), Chirality.R, steps)
         assert u.tobytes() == run_protocol(ideal_schedule(), Chirality.R, 7).tobytes()
-
-
-class TestApplyToDensity:
-    def test_identity(self):
-        rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
-        assert np.abs(apply_to_density(np.eye(3), rho) - rho).max() == 0.0
-
-    def test_left_unitary_swaps_23(self):
-        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        out = apply_to_density(total_unitary(Chirality.L), rho)
-        assert np.diag(out).real == pytest.approx([0.5, 0.2, 0.3], abs=1e-14)
-
-    def test_right_unitary_swaps_12(self):
-        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        out = apply_to_density(total_unitary(Chirality.R), rho)
-        assert np.diag(out).real == pytest.approx([0.3, 0.5, 0.2], abs=1e-14)
-
-    def test_trace_and_hermiticity_preserved(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            rho = m @ m.conj().T
-            rho /= np.trace(rho)
-            u = run_protocol(ideal_schedule(), Chirality.L, 256)
-            out = apply_to_density(u, rho)
-            assert abs(np.trace(out) - 1.0) < 1e-12
-            assert np.abs(out - out.conj().T).max() < 1e-12
-            assert np.linalg.eigvalsh(out) == pytest.approx(
-                np.linalg.eigvalsh(rho), abs=1e-10
-            )
-
-    def test_non_unit_trace_rejected(self):
-        with pytest.raises(ValueError):
-            apply_to_density(np.eye(3), np.diag([0.5, 0.3, 0.1]))
-
-    @pytest.mark.parametrize("rho", [np.eye(2) / 2.0, np.full(9, 1.0 / 3.0)], ids=["2x2", "flat"])
-    def test_non_3x3_rejected(self, rho):
-        with pytest.raises(ValueError, match=r"^density matrix must be 3x3, got shape"):
-            apply_to_density(np.eye(3), rho)
-
-    def test_non_hermitian_rejected(self):
-        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        rho[0, 1] = 0.4
-        with pytest.raises(ValueError):
-            apply_to_density(np.eye(3), rho)

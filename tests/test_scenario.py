@@ -384,6 +384,27 @@ class TestValidation:
         assert err.value.field == "labeling"
         assert str(err.value) == "labeling: must be one of ('tau', 'ka_kc'), got 'other'"
 
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            (MINIMAL + "labeling: tau\nlabeling: ka_kc\n", "labeling", 12),
+            (MINIMAL.replace("name: test-molecule\n", "name: test-molecule\n  name: x\n"), "name", 4),
+            (MINIMAL.replace("M: 0}", "M: 0, M: 1}", 1), "M", 8),
+        ],
+        ids=["top-level", "section", "flow-mapping"],
+    )
+    def test_key_written_twice_rejected(self, tmp_path, text, key, line):
+        # YAML itself would keep the last value silently
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(write(tmp_path, text))
+        assert err.value.field == "<document>"
+        assert f'found duplicate key {key!r}\n  in "<unicode string>", line {line},' in str(err.value)
+
+    def test_merged_key_may_be_written_over(self, tmp_path):
+        merged = "    - {<<: {vib: 0, J: 1, tau: 0, M: 1}, tau: 1, M: 0}\n"
+        text = MINIMAL.replace("    - {vib: 0, J: 1, tau: 1, M: 0}\n", merged)
+        assert parse_scenario(write(tmp_path, text)) == parse_scenario(write(tmp_path, MINIMAL))
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             parse_scenario(tmp_path / "nope.scenario")

@@ -18,7 +18,6 @@ from ctlsim.thermal import (
     loop_populations,
     rotational_partition,
     vibrational_partition,
-    yield_eta,
 )
 
 from .conftest import OH_STRETCH, PROPANEDIOL
@@ -139,6 +138,30 @@ class TestCtlsPopulations:
         message = r"^t_rot_k must be a float or a 1-D array, got shape \(2, 2\)$"
         with pytest.raises(ValueError, match=message):
             rotational_partition(propanediol, np.full((2, 2), 10.0))
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda levels: Temperatures([10.0, 20.0], 300.0), "t_rot_k"),
+            (lambda levels: Temperatures(10.0, [300.0, 310.0]), "t_vib_k"),
+            (lambda levels: loop_populations(levels, 10.0, [300.0, 310.0]), "t_vib_k"),
+            (lambda levels: vibrational_partition([OH_STRETCH], [300.0, 310.0]), "t_vib_k"),
+            (
+                lambda levels: global_proportion(
+                    levels, PROPANEDIOL, [OH_STRETCH], 10.0, np.array([300.0, 310.0])
+                ),
+                "t_vib_k",
+            ),
+        ],
+        ids=[
+            "Temperatures-t_rot", "Temperatures-t_vib", "loop_populations",
+            "vibrational_partition", "global_proportion",
+        ],
+    )
+    def test_single_temperature_is_not_a_grid(self, rovib_config, call, name):
+        # a grid here was read by its first value, or failed naming nothing
+        with pytest.raises(ValueError, match=rf"^{name} must be a float, got shape \(2,\)$"):
+            call(rovib_config.levels)
 
     @pytest.mark.parametrize("frequency", [0.0, -1.0, np.nan, np.inf])
     def test_mode_frequency_must_be_finite_and_positive(self, frequency):
@@ -412,14 +435,3 @@ class TestGlobalProportion:
                 )[0, 0]
         assert total <= 1.0 + 1e-9
         assert total > 0.999
-
-
-class TestYieldEta:
-    @pytest.mark.parametrize("p1, eta", [(1.0, 0.5), (0.0, 0.0), (0.001, 0.0005)])
-    def test_values(self, p1, eta):
-        assert yield_eta(p1) == eta
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
-    def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError):
-            yield_eta(bad)

@@ -287,6 +287,11 @@ class TestSweeps:
         assert table[1, 3] == p1_warm / 2.0
         assert table[1, 1] + table[1, 2] < 1e-7
 
+    @pytest.mark.parametrize("sweep", [excess_sweep, population_sweep, yield_sweep])
+    def test_t_vib_is_one_temperature(self, rovib_config, sweep):
+        with pytest.raises(ValueError, match=r"^t_vib_k must be a float, got shape \(2,\)$"):
+            sweep(rovib_config, [1.0, 10.0], np.array([300.0, 310.0]))
+
     def test_default_grid_bounds(self):
         grid = paper_grid()
         assert len(grid) == 200

@@ -310,6 +310,20 @@ MUTANTS = (
         'temps_reader.value("t_vib_k", float, 300.0)',
         'temps_reader.value("t_vib_k", float, 301.0)',
     ),
+    # A key written twice read as its last value, and a grid taken where one
+    # temperature is meant
+    (
+        "duplicate-key-kept",
+        "ctlsim/scenario.py",
+        "if key in seen:",
+        "if False:",
+    ),
+    (
+        "single-temperature-grid",
+        "ctlsim/thermal.py",
+        "if np.ndim(t_k) > 0:",
+        "if np.ndim(t_k) > 1:",
+    ),
     # A figure's plot series numbered from t_rot_k's column, not the first after it
     (
         "plot-columns-from-1",

@@ -3,23 +3,27 @@
 A scenario is a single human-editable YAML document with a fixed schema.
 Unknown keys are rejected and every violation names the offending field, so
 a scenario that parses is fully normalized and reproducible. The schema is
-written once, as the walk in ``scenario_from_mapping``: the walk also records
-what it read, and ``dump_scenario`` writes that record back out.
+written once, as the table ``SCHEMA`` with one row per key: one walk over it
+reads a document, runs each key's check and records what it read, and
+``dump_scenario`` writes that record back out.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping, NamedTuple, TypeVar
 
 import yaml
 
 from .rotor import RotationalConstants
 from .thermal import Temperatures, VibrationalMode
 from .transfer import (
+    _MODES,
+    LABELINGS,
     RO_VIBRATIONAL,
     CtlsConfig,
     check_labeling,
@@ -34,6 +38,8 @@ __all__ = [
     "SweepSpec",
     "ScenarioFile",
     "ScenarioError",
+    "Row",
+    "SCHEMA",
     "parse_scenario",
     "scenario_from_mapping",
     "dump_scenario",
@@ -90,80 +96,77 @@ class ScenarioFile:
     echo: dict = field(compare=False, repr=False)
 
 
-# the kinds of value ``_Reader.value`` reads, as its messages name them
+# the kinds of value a row reads, as its messages name them
 _KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true/false"}
 
 
-class _Reader:
-    """Mapping walker that tracks the key path, rejects unknown keys and
-    records what it read.
+class Row(NamedTuple):
+    """One key of the scenario schema; with no ``default`` it is required.
 
-    ``get`` is the one place that decides a key is absent: a key written
-    with no value (null) counts as absent, so it takes its default or, when
-    required, is reported missing.
-
-    Every typed value, section and list stores what it returns under its
-    key in ``echo``: defaults filled in, ``-0.0`` read as ``0.0``, keys in
-    the order they were read rather than the order they were written. So
-    the walk that reads a document also fixes how it is written back.
+    ``kind`` is ``float``, ``int``, ``str`` or ``bool`` for a value, ``dict``
+    for a section and ``list`` for a list of sections, whose keys are
+    ``rows``. ``check`` runs on a value read, or on a section's values in row
+    order, the section reading as what it returns; its ``ValueError`` names
+    this key. ``choices`` are the strings an enumeration's check accepts.
     """
 
-    def __init__(self, data: Mapping[str, Any], path: str):
-        if not isinstance(data, Mapping):
-            field = path or "<document>"  # the root reader's path is empty
-            raise ScenarioError(field, f"expected a mapping, got {type(data).__name__}")
-        self._data = dict(data)
-        self.path = path
-        self._seen: set[str] = set()
-        self.echo: dict[str, Any] = {}
+    key: str
+    kind: type
+    default: Any = None
+    check: Callable[..., Any] | None = None
+    rows: tuple["Row", ...] = ()
+    choices: tuple[str, ...] = ()
 
-    def _label(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else str(key)
 
-    def get(self, key: str, default: Any = None, required: bool = False) -> Any:
-        self._seen.add(key)
-        value = self._data.get(key)
-        if value is None:
-            if required:
-                raise ScenarioError(self._label(key), "missing required key")
-            return default
-        return value
+def _sweep(t_rot_min_k: float, t_rot_max_k: float, points: int, log_scale: bool) -> SweepSpec:
+    """The sweep section, once its grid passes ``default_sweep_grid``."""
+    default_sweep_grid(t_rot_min_k, t_rot_max_k, points, log_scale)
+    return SweepSpec(t_rot_min_k, t_rot_max_k, points, log_scale)
 
-    def mapping(self, key: str, required: bool = False) -> "_Reader":
-        """The section under ``key``; an absent optional one reads as empty."""
-        section = _Reader(self.get(key, {}, required), self._label(key))
-        self.echo[key] = section.echo
-        return section
 
-    def value(self, key: str, kind: type, default: Any = None, required: bool = False) -> Any:
-        """The ``kind`` value under ``key``, ``kind`` one of ``_KINDS``: a bool
-        is never read as a number, and a number reads as a float."""
-        value = self.get(key, default, required)
-        accepted = (int, float) if kind is float else kind
-        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-            raise ScenarioError(self._label(key), f"expected {_KINDS[kind]}, got {value!r}")
-        if kind is float:
-            try:
-                value = float(value) + 0.0  # + 0.0 reads -0.0 as 0.0
-            except OverflowError as exc:  # an int beyond the float range
-                raise ScenarioError(self._label(key), str(exc)) from exc
-        self.echo[key] = value
-        return value
+# The whole document, a section named as its errors name it. A key written
+# with no value (null) counts as absent: it takes its default or, with none,
+# is reported missing. An absent optional section reads as empty.
+SCHEMA = Row("<document>", dict, rows=(
+    Row("molecule", dict, rows=(
+        Row("name", str),
+        Row("rotational_constants_ghz", dict, check=RotationalConstants, rows=(
+            Row("A", float),
+            Row("B", float),
+            Row("C", float),
+        )),
+        Row("vibrational_modes", list, [], VibrationalMode, rows=(
+            Row("name", str),
+            Row("frequency_thz", float),
+            Row("max_quanta", int, 5),
+        )),
+    )),
+    Row("ctls", dict, rows=(
+        Row("mode", str, check=check_mode, choices=_MODES),
+        Row("levels", list, check=LevelSpec, rows=(
+            Row("vib", int),
+            Row("J", int),
+            Row("tau", int),
+            Row("M", int),
+        )),
+    )),
+    Row("temperatures", dict, {}, Temperatures, rows=(
+        Row("t_rot_k", float, 10.0),
+        Row("t_vib_k", float, 300.0),
+    )),
+    Row("sweep", dict, {}, _sweep, rows=(
+        Row("t_rot_min_k", float, 1e-3),
+        Row("t_rot_max_k", float, 300.0),
+        Row("points", int, 200),
+        Row("log_scale", bool, True),
+    )),
+    Row("labeling", str, "tau", check_labeling, choices=LABELINGS),
+))
 
-    def sequence(self, key: str, required: bool = False) -> list["_Reader"]:
-        """One reader per item of the list under ``key``, each item a mapping."""
-        value = self.get(key, [], required)
-        if not isinstance(value, list):
-            raise ScenarioError(self._label(key), f"expected a list, got {type(value).__name__}")
-        items = [_Reader(item, f"{self._label(key)}[{i}]") for i, item in enumerate(value)]
-        self.echo[key] = [item.echo for item in items]
-        return items
-
-    def finish(self) -> None:
-        unknown = sorted(set(self._data) - self._seen, key=str)  # YAML keys may be ints
-        if unknown:
-            label = self._label(unknown[0])
-            raise ScenarioError(label, "unknown key")
+# YAML 1.2's exponent floats, which YAML 1.1 reads as strings when they lack
+# a dot or the exponent's sign (``1e3``, ``1.0e308``): plain, they read as
+# floats; quoted, as strings. Loader and dumper share it, so "1e3" is dumped quoted.
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
 
 
 def _checked(field: str, build: Callable[..., _T], *args: Any) -> _T:
@@ -174,82 +177,69 @@ def _checked(field: str, build: Callable[..., _T], *args: Any) -> _T:
         raise ScenarioError(field, str(exc)) from exc
 
 
+def _mapping(data: Any, field: str) -> Mapping[Any, Any]:
+    if not isinstance(data, Mapping):
+        raise ScenarioError(field, f"expected a mapping, got {type(data).__name__}")
+    return data
+
+
+def _section(row: Row, data: Mapping[Any, Any], path: str, echo: dict) -> Any:
+    """What the section ``data`` at ``path`` reads as under ``row``.
+
+    Its keys are read in row order, each storing what it reads as in
+    ``echo``: defaults filled in, ``-0.0`` read as ``0.0``. Keys that no row
+    names are rejected once every row is read; ``row.check`` runs last.
+    """
+    prefix = f"{path}." if path else ""
+    values = tuple(
+        _read(child, data.get(child.key), prefix + child.key, echo) for child in row.rows
+    )
+    unknown = sorted(set(data) - {child.key for child in row.rows}, key=str)  # keys may be ints
+    if unknown:
+        raise ScenarioError(f"{prefix}{unknown[0]}", "unknown key")
+    return _checked(path, row.check, *values) if row.check else values
+
+
+def _read(row: Row, value: Any, field: str, echo: dict) -> Any:
+    """What ``value``, written under ``row``'s key as ``field``, reads as."""
+    if value is None:
+        value = row.default
+        if value is None:
+            raise ScenarioError(field, "missing required key")
+    if row.kind is dict:
+        echo[row.key] = {}
+        return _section(row, _mapping(value, field), field, echo[row.key])
+    if row.kind is list:
+        if not isinstance(value, list):
+            raise ScenarioError(field, f"expected a list, got {type(value).__name__}")
+        # every item is a mapping before any item is read
+        items = [_mapping(item, f"{field}[{i}]") for i, item in enumerate(value)]
+        echo[row.key] = echoes = [{} for _ in items]
+        return tuple(_section(row, item, f"{field}[{i}]", echoes[i]) for i, item in enumerate(items))
+    accepted = (int, float) if row.kind is float else row.kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and row.kind is not bool):
+        raise ScenarioError(field, f"expected {_KINDS[row.kind]}, got {value!r}")
+    if row.kind is float:
+        try:
+            value = float(value) + 0.0  # + 0.0 reads -0.0 as 0.0
+        except OverflowError as exc:  # an int beyond the float range
+            raise ScenarioError(field, str(exc)) from exc
+    echo[row.key] = value
+    if row.check:
+        _checked(field, row.check, value)
+    return value
+
+
 def scenario_from_mapping(data: Mapping[str, Any]) -> ScenarioFile:
     """Validate a raw mapping into a normalized scenario.
 
     The scenario's declared loop is built once before returning, so every
     loop rule is checked here and a scenario that parses builds its loop.
     """
-    root = _Reader(data, "")
-
-    molecule = root.mapping("molecule", required=True)
-    name = molecule.value("name", str, required=True)
-    const_reader = molecule.mapping("rotational_constants_ghz", required=True)
-    a = const_reader.value("A", float, required=True)
-    b = const_reader.value("B", float, required=True)
-    c = const_reader.value("C", float, required=True)
-    const_reader.finish()
-    constants = _checked("molecule.rotational_constants_ghz", RotationalConstants, a, b, c)
-
-    modes: list[VibrationalMode] = []
-    for mode_reader in molecule.sequence("vibrational_modes"):
-        mode_name = mode_reader.value("name", str, required=True)
-        frequency = mode_reader.value("frequency_thz", float, required=True)
-        max_quanta = mode_reader.value("max_quanta", int, 5)
-        mode_reader.finish()
-        modes.append(_checked(mode_reader.path, VibrationalMode, mode_name, frequency, max_quanta))
-    molecule.finish()
-
-    ctls_reader = root.mapping("ctls", required=True)
-    mode = ctls_reader.value("mode", str, required=True)
-    _checked("ctls.mode", check_mode, mode)
-    levels = []
-    for level_reader in ctls_reader.sequence("levels", required=True):
-        levels.append(
-            LevelSpec(
-                vib=level_reader.value("vib", int, required=True),
-                j=level_reader.value("J", int, required=True),
-                tau=level_reader.value("tau", int, required=True),
-                m=level_reader.value("M", int, required=True),
-            )
-        )
-        level_reader.finish()
-    ctls_reader.finish()
-
-    temps_reader = root.mapping("temperatures")
-    t_rot = temps_reader.value("t_rot_k", float, 10.0)
-    t_vib = temps_reader.value("t_vib_k", float, 300.0)
-    temps_reader.finish()
-    temperatures = _checked("temperatures", Temperatures, t_rot, t_vib)
-
-    sweep_reader = root.mapping("sweep")
-    sweep = SweepSpec(
-        t_rot_min_k=sweep_reader.value("t_rot_min_k", float, 1e-3),
-        t_rot_max_k=sweep_reader.value("t_rot_max_k", float, 300.0),
-        points=sweep_reader.value("points", int, 200),
-        log_scale=sweep_reader.value("log_scale", bool, True),
-    )
-    sweep_reader.finish()
-    _checked(
-        "sweep", default_sweep_grid,
-        sweep.t_rot_min_k, sweep.t_rot_max_k, sweep.points, sweep.log_scale,
-    )
-
-    labeling = root.value("labeling", str, "tau")
-    _checked("labeling", check_labeling, labeling)
-    root.finish()
-
-    scenario = ScenarioFile(
-        molecule_name=name,
-        constants=constants,
-        vibrational_modes=tuple(modes),
-        mode=mode,
-        levels=tuple(levels),
-        temperatures=temperatures,
-        sweep=sweep,
-        labeling=labeling,
-        echo=root.echo,
-    )
+    echo: dict[str, Any] = {}
+    document = _section(SCHEMA, _mapping(data, SCHEMA.key), "", echo)
+    (name, constants, modes), (mode, levels), temps, sweep, labeling = document
+    scenario = ScenarioFile(name, constants, modes, mode, levels, temps, sweep, labeling, echo)
     to_ctls_config(scenario)
     return scenario
 
@@ -274,6 +264,14 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return mapping
 
 
+class _Dumper(yaml.SafeDumper):
+    """``yaml.SafeDumper`` that quotes a string ``_UniqueKeyLoader`` reads as a float."""
+
+
+for _yaml in (_UniqueKeyLoader, _Dumper):
+    _yaml.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
+
+
 def parse_scenario(path: str | Path) -> ScenarioFile:
     """Load and validate a scenario file."""
     try:
@@ -290,7 +288,7 @@ def parse_scenario(path: str | Path) -> ScenarioFile:
 def dump_scenario(scenario: ScenarioFile) -> str:
     """Serialize a scenario so that re-parsing reproduces it exactly: the
     document as the parser read it, keys in schema order, defaults filled in."""
-    return yaml.safe_dump(scenario.echo, sort_keys=False)
+    return yaml.dump(scenario.echo, Dumper=_Dumper, sort_keys=False)
 
 
 def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfig:

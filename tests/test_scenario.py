@@ -1,6 +1,10 @@
 import copy
 import functools
+import math
 import operator
+import re
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -9,7 +13,9 @@ from hypothesis import strategies as st
 
 from ctlsim.cli import EXIT_OK, EXIT_SCHEMA, main
 from ctlsim.scenario import (
+    SCHEMA,
     ScenarioError,
+    _UniqueKeyLoader,
     bundled_scenario_path,
     dump_scenario,
     parse_scenario,
@@ -19,7 +25,6 @@ from ctlsim.scenario import (
 )
 from ctlsim.thermal import VibrationalMode
 from ctlsim.transfer import (
-    LABELINGS,
     PURELY_ROTATIONAL,
     RO_VIBRATIONAL,
     default_sweep_grid,
@@ -111,13 +116,16 @@ TYPED_FIELDS = {
 # each YAML value, as a type error shows it
 TYPED_VALUES = {
     "true": "True", "7": "7", "7.5": "7.5", '"x"': "'x'", "[1]": "[1]", "{a: 1}": "{'a': 1}",
+    "1e3": "1000.0", '"1e3"': "'1e3'",
 }
 # the (field, value) pairs that parse, and what they read as
 TYPED_ACCEPTED = {
     ("temperatures.t_rot_k", "7"): 7.0,
     ("temperatures.t_rot_k", "7.5"): 7.5,
+    ("temperatures.t_rot_k", "1e3"): 1000.0,
     ("sweep.points", "7"): 7,
     ("molecule.name", '"x"'): "x",
+    ("molecule.name", '"1e3"'): "1e3",
     ("sweep.log_scale", "true"): True,
 }
 
@@ -128,60 +136,92 @@ def write(tmp_path, text):
     return path
 
 
+def schema_keys(row=SCHEMA, path=""):
+    """(field, row) for every key of the schema table, each field as a
+    ScenarioError names it, a list's item as item 0."""
+    for key in row.rows:
+        field = f"{path}.{key.key}" if path else key.key
+        yield field, key
+        yield from schema_keys(key, f"{field}[0]" if key.kind is list else field)
+
+
+SCHEMA_KEYS = dict(schema_keys())
+
+
+def edged(inner, *edges):
+    """``inner``, with the edges of its range drawn as often as the rest."""
+    return st.one_of(st.sampled_from(edges), inner)
+
+
+TEMPERATURE = edged(st.floats(0.0, sys.float_info.max), 0.0, 5e-324, sys.float_info.max)
+# a sweep bound near the float maximum may round past it on the grid
+SWEEP_BOUND = edged(st.floats(5e-324, 1e300), 5e-324, 1e300)
+CONSTANT = st.floats(1e-3, 1e3)
+
+# the range that each number key's check accepts, by field, which the keys
+# that a rule ties to others leave to ``scenario_mappings``
+NUMBERS = {
+    "molecule.vibrational_modes[0].frequency_thz": st.floats(1e-3, 1e3),
+    "molecule.vibrational_modes[0].max_quanta": edged(st.integers(1, 2**53), 1, 2**53),
+    "temperatures.t_rot_k": TEMPERATURE,
+    "temperatures.t_vib_k": TEMPERATURE,
+    "sweep.points": edged(st.integers(2, 10_000), 2, 10_000),
+}
+
+
 @st.composite
 def scenario_mappings(draw):
-    """A raw scenario over the whole schema: both labelings and modes, any
-    top, zero temperatures, any sweep bounds and names."""
-    names = st.text(max_size=20)
-    labeling = draw(st.sampled_from(LABELINGS))
-    mode = draw(st.sampled_from((RO_VIBRATIONAL, PURELY_ROTATIONAL)))
-    a, b, c = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3)), reverse=True)
-    vib_modes = draw(
-        st.lists(
-            st.fixed_dictionaries(
-                {
-                    "name": names,
-                    "frequency_thz": st.floats(1e-3, 1e3),
-                    "max_quanta": st.integers(1, 10),
-                }
-            ),
-            min_size=1 if mode == RO_VIBRATIONAL else 0,
-            max_size=3,
-        )
-    )
-    excited = (
-        st.integers(1, vib_modes[0]["max_quanta"]) if mode == RO_VIBRATIONAL else st.just(0)
-    )
+    """A raw scenario drawn from the schema table.
+
+    Each key is drawn by its kind: a number over the range its check
+    accepts, edges included; a string from its row's choices, or any text;
+    a list of zero to three sections. The rules across keys are built in:
+    A >= B >= C, t_rot_min_k < t_rot_max_k, at least one mode for a
+    ro-vibrational loop, and level digits valid for the labeling.
+    """
+    mode = draw(st.sampled_from(SCHEMA_KEYS["ctls.mode"].choices))
+    a, b, c = sorted(draw(st.lists(CONSTANT, min_size=3, max_size=3)), reverse=True)
+    t_min, t_max = sorted(draw(st.lists(SWEEP_BOUND, min_size=2, max_size=2, unique=True)))
+    joint = {
+        "molecule.rotational_constants_ghz": {"A": a, "B": b, "C": c},
+        "ctls.mode": mode,
+        "ctls.levels": None,  # drawn last, from the labeling and the modes
+        "sweep.t_rot_min_k": t_min,
+        "sweep.t_rot_max_k": t_max,
+    }
+    least_modes = 1 if mode == RO_VIBRATIONAL else 0
+    sizes = {"molecule.vibrational_modes": edged(st.integers(least_modes, 3), least_modes, 3)}
+    texts = {str: st.text(max_size=20), bool: st.booleans()}
+
+    def section(row, path):
+        fields = ((key, f"{path}.{key.key}" if path else key.key) for key in row.rows)
+        return {key.key: value(key, field) for key, field in fields}
+
+    def value(row, field):
+        if field in joint:
+            return joint[field]
+        if row.kind is dict:
+            return section(row, field)
+        if row.kind is list:
+            return [section(row, f"{field}[0]") for _ in range(draw(sizes[field]))]
+        if row.choices:
+            return draw(st.sampled_from(row.choices))
+        return draw(NUMBERS[field] if row.kind in (int, float) else texts[row.kind])
+
+    data = section(SCHEMA, "")
+    modes = data["molecule"]["vibrational_modes"]
+    excited = st.integers(1, modes[0]["max_quanta"]) if mode == RO_VIBRATIONAL else st.just(0)
     picks = draw(
         st.lists(
-            st.sampled_from(label_digits(labeling)),
+            st.sampled_from(label_digits(data["labeling"])),
             min_size=2, max_size=2, unique_by=lambda d: (d[0], d[3]),
         )
     )
-    levels = [{"vib": 0, "J": 0, "tau": 0, "M": 0}] + [
+    data["ctls"]["levels"] = [{"vib": 0, "J": 0, "tau": 0, "M": 0}] + [
         {"vib": draw(excited), "J": j, "tau": first, "M": second}
         for j, first, second, _ in picks
     ]
-    temperature = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
-    t_min, t_max = sorted(
-        draw(st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2, unique=True))
-    )
-    return {
-        "molecule": {
-            "name": draw(names),
-            "rotational_constants_ghz": {"A": a, "B": b, "C": c},
-            "vibrational_modes": vib_modes,
-        },
-        "ctls": {"mode": mode, "levels": levels},
-        "temperatures": {"t_rot_k": draw(temperature), "t_vib_k": draw(temperature)},
-        "sweep": {
-            "t_rot_min_k": t_min,
-            "t_rot_max_k": t_max,
-            "points": draw(st.integers(2, 10_000)),
-            "log_scale": draw(st.booleans()),
-        },
-        "labeling": labeling,
-    }
+    return data
 
 
 class TestBundledScenario:
@@ -348,10 +388,27 @@ class TestValidation:
                 "molecule.vibrational_modes",
                 "expected a list, got int",
             ),
+            # exponent floats read as numbers, checked as any number is
+            (
+                MINIMAL + "temperatures: {t_rot_k: -2E-3}\n",
+                "temperatures",
+                "t_rot_k must be finite and >= 0, got -0.002",
+            ),
+            (
+                MINIMAL + "temperatures: {t_vib_k: 1e400}\n",
+                "temperatures",
+                "t_vib_k must be finite and >= 0, got inf",
+            ),
+            (
+                MINIMAL + "sweep: {t_rot_max_k: 1e400}\n",
+                "sweep",
+                "need 0 < t_min_k < t_max_k < inf, got (0.001, inf)",
+            ),
         ],
         ids=[
             "huge-int-A", "huge-int-t_rot", "unknown-mode", "bool-number", "float-integer",
-            "int-string", "int-boolean", "int-list",
+            "int-string", "int-boolean", "int-list", "exponent-negative",
+            "exponent-overflow-temperature", "exponent-overflow-bound",
         ],
     )
     def test_bad_value_names_field(self, tmp_path, text, field, message):
@@ -375,6 +432,89 @@ class TestValidation:
                 parse_scenario(path)
             assert err.value.field == field
             assert str(err.value) == f"{field}: expected {kind}, got {TYPED_VALUES[value]}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a value's check runs as soon as it is read, before later keys
+            (
+                MINIMAL.replace("mode: purely_rotational", "mode: bogus")
+                .replace("{vib: 0, J: 1, tau: 0,", "{vib: 0, J: one, tau: 0,"),
+                f"ctls.mode: {UNKNOWN_MODE}",
+            ),
+            (
+                MINIMAL + "\nlabeling: other\nextra: 1\n",
+                "labeling: must be one of ('tau', 'ka_kc'), got 'other'",
+            ),
+            # a section's unknown keys, once its keys are read, before later sections
+            (
+                MINIMAL.replace("name: test-molecule", "name: test-molecule\n  extra: 1")
+                + "\nsweep: {points: 1}\n",
+                "molecule.extra: unknown key",
+            ),
+            (
+                MINIMAL.replace("name: test-molecule", "name: test-molecule\n  extra: 1")
+                + "\nextra: 1\n",
+                "molecule.extra: unknown key",
+            ),
+            (MINIMAL + "\nzz: 1\naa: 1\n", "aa: unknown key"),
+            # ... and before the section's own check
+            (
+                MINIMAL.replace("{A: 3.0, B: 2.0, C: 1.0}", "{A: 1.0, B: 2.0, C: 1.0, D: 1}"),
+                "molecule.rotational_constants_ghz.D: unknown key",
+            ),
+            # every item of a list is a mapping before any item is read
+            (
+                MINIMAL.replace("{vib: 0, J: 0,", "{vib: 0, J: zero,")
+                .replace("- {vib: 0, J: 1, tau: 0, M: 1}", "- 5"),
+                "ctls.levels[1]: expected a mapping, got int",
+            ),
+            # an item is read and its unknown keys rejected before the next item
+            (
+                MINIMAL.replace("{vib: 0, J: 0, tau: 0, M: 0}", "{vib: 0, J: 0, tau: 0, M: 0, x: 1}")
+                .replace("{vib: 0, J: 1, tau: 0,", "{vib: 0, J: one, tau: 0,"),
+                "ctls.levels[0].x: unknown key",
+            ),
+            # keys in schema order, not in the order written
+            (
+                MINIMAL.replace("{vib: 0, J: 0, tau: 0, M: 0}", "{M: m, tau: t, J: j, vib: 0}"),
+                "ctls.levels[0].J: expected an integer, got 'j'",
+            ),
+            # a section's check, before the sections after it
+            (
+                MINIMAL.replace("name: test-molecule", "name: m\n  vibrational_modes:"
+                                "\n    - {name: s, frequency_thz: -1.0}\n  extra: 1"),
+                "molecule.vibrational_modes[0]: mode frequency must be finite and > 0, got -1.0",
+            ),
+            (
+                MINIMAL + "\ntemperatures: {t_rot_k: -1.0}\nsweep: {points: 1}\n",
+                "temperatures: t_rot_k must be finite and >= 0, got -1.0",
+            ),
+            (
+                MINIMAL.replace("  name: test-molecule\n", "")
+                .replace("{A: 3.0, B: 2.0, C: 1.0}", "{A: 1.0, B: 2.0, C: 1.0}"),
+                "molecule.name: missing required key",
+            ),
+            # the loop's rules, once every key has been read
+            (
+                MINIMAL.replace("{vib: 0, J: 1, tau: 1, M: 0}", "{vib: 0, J: 1, tau: 0, M: 1}")
+                + "\nsweep: {points: 1}\n",
+                "sweep: points must lie in [2, 10000], got 1",
+            ),
+        ],
+        ids=[
+            "mode-before-levels", "labeling-before-unknown", "unknown-before-next-section",
+            "section-unknown-before-top-unknown", "unknown-in-key-order",
+            "unknown-before-section-check", "list-items-mappings-first",
+            "item-unknown-before-next-item", "schema-order", "section-check-before-unknown",
+            "temperatures-before-sweep", "missing-before-section-check", "sweep-before-loop",
+        ],
+    )
+    def test_first_fault_is_reported(self, tmp_path, text, message):
+        # a document with two faults names the one the schema walk reaches first
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(write(tmp_path, text))
+        assert str(err.value) == message
 
     def test_bad_labeling_rejected(self, tmp_path):
         # the parser names the field, before a level is read by an unknown labeling
@@ -496,6 +636,68 @@ class TestNullKeys:
             assert f"invalid scenario: {field}: missing required key" in err
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_scenario_section():
+    """The README's "Scenario files" section, up to the next heading."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestSchemaTable:
+    def test_optional_keys_are_the_tables(self):
+        assert {field for field, row in SCHEMA_KEYS.items() if row.default is not None} == OPTIONAL
+
+    def test_readme_example_writes_every_key(self):
+        block = readme_scenario_section().split("```yaml\n", 1)[1].split("```", 1)[0]
+        example = yaml.load(block, Loader=_UniqueKeyLoader)
+        written = {re.sub(r"\[\d+\]", "[0]", field_name(path)) for path in key_paths(example)}
+        assert sorted(written - SCHEMA_KEYS.keys()) == [], "in the README example only"
+        assert sorted(SCHEMA_KEYS.keys() - written) == [], "in the table only"
+
+    def test_readme_lists_each_optional_key_with_its_default(self):
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", readme_scenario_section(), re.M)
+        listed = {
+            key.replace("[i]", "[0]"): yaml.load(default, Loader=_UniqueKeyLoader)
+            for key, default in rows
+        }
+        defaults = {field: row.default for field, row in SCHEMA_KEYS.items() if row.default is not None}
+        assert sorted(listed.keys() - defaults.keys()) == [], "optional in the README only"
+        assert sorted(defaults.keys() - listed.keys()) == [], "optional in the table only"
+        for key, default in defaults.items():
+            assert (listed[key], type(listed[key])) == (default, type(default)), key
+
+
+class TestNumberSyntax:
+    # YAML 1.2's exponent floats, which YAML 1.1 alone reads as strings
+    @pytest.mark.parametrize(
+        "written, number",
+        [("1e3", 1000.0), ("1.0e308", 1e308), ("-2E-3", -0.002), ("+.5e1", 5.0), ("1e400", math.inf)],
+    )
+    def test_exponent_form_reads_as_a_float(self, written, number):
+        assert yaml.safe_load(f"x: {written}") == {"x": written}
+        assert yaml.load(f"x: {written}", Loader=_UniqueKeyLoader) == {"x": number}
+
+    @pytest.mark.parametrize("written", ['"1e3"', "'1e3'", "1e3x", "1_0e3", "e3", "1e"])
+    def test_quoted_or_malformed_stays_a_string(self, written):
+        assert yaml.load(f"x: {written}", Loader=_UniqueKeyLoader) == yaml.safe_load(f"x: {written}")
+        assert isinstance(yaml.safe_load(f"x: {written}")["x"], str)
+
+    def test_bundled_scenario_takes_an_exponent(self, tmp_path, capsys):
+        text = bundled_scenario_path().read_text(encoding="utf-8")
+        path = write(tmp_path, text.replace("t_rot_max_k: 300.0", "t_rot_max_k: 1e3"))
+        assert main(["excess", "--scenario", str(path), "--dump-config"]) == EXIT_OK
+        assert yaml.safe_load(capsys.readouterr().out)["sweep"]["t_rot_max_k"] == 1000.0
+
+    def test_string_written_like_a_number_dumps_quoted(self, tmp_path):
+        scenario = parse_scenario(write(tmp_path, MINIMAL.replace("test-molecule", '"1e3"')))
+        assert scenario.molecule_name == "1e3"
+        text = dump_scenario(scenario)
+        assert "  name: '1e3'\n" in text
+        assert parse_scenario(write(tmp_path, text)) == scenario
+
+
 class TestRoundTrip:
     def test_bundled_round_trips(self):
         scenario = parse_scenario(bundled_scenario_path())
@@ -547,8 +749,12 @@ class TestRoundTrip:
     @given(scenario_mappings())
     @settings(deadline=None, max_examples=100)
     def test_dump_then_parse_is_identity(self, data):
+        # read back as ``--scenario`` reads a file that ``--dump-config`` wrote
         scenario = scenario_from_mapping(data)
-        assert scenario_from_mapping(yaml.safe_load(dump_scenario(scenario))) == scenario
+        text = dump_scenario(scenario)
+        again = scenario_from_mapping(yaml.load(text, Loader=_UniqueKeyLoader))
+        assert again == scenario
+        assert dump_scenario(again) == text
 
 
 class TestModeOverride:

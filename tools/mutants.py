@@ -275,20 +275,20 @@ MUTANTS = (
     (
         "unknown-key-accepted",
         "ctlsim/scenario.py",
-        'raise ScenarioError(label, "unknown key")',
-        "return",
+        'raise ScenarioError(f"{prefix}{unknown[0]}", "unknown key")',
+        "pass",
     ),
     (
         "number-accepts-bool",
         "ctlsim/scenario.py",
-        "if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):",
+        "if not isinstance(value, accepted) or (isinstance(value, bool) and row.kind is not bool):",
         "if not isinstance(value, accepted):",
     ),
     (
         "integer-accepts-bool",
         "ctlsim/scenario.py",
-        "(isinstance(value, bool) and kind is not bool)",
-        "(isinstance(value, bool) and kind is float)",
+        "(isinstance(value, bool) and row.kind is not bool)",
+        "(isinstance(value, bool) and row.kind is float)",
     ),
     (
         "labeling-unchecked",
@@ -296,19 +296,19 @@ MUTANTS = (
         "if labeling not in LABELINGS:",
         "if False:",
     ),
-    # The schema's defaults, whose one home is the parser: a mode's ladder top
-    # and the vibrational temperature
+    # The schema's defaults, whose one home is the schema table: a mode's
+    # ladder top and the vibrational temperature
     (
         "max-quanta-default",
         "ctlsim/scenario.py",
-        'mode_reader.value("max_quanta", int, 5)',
-        'mode_reader.value("max_quanta", int, 6)',
+        'Row("max_quanta", int, 5)',
+        'Row("max_quanta", int, 6)',
     ),
     (
         "t-vib-default",
         "ctlsim/scenario.py",
-        'temps_reader.value("t_vib_k", float, 300.0)',
-        'temps_reader.value("t_vib_k", float, 301.0)',
+        'Row("t_vib_k", float, 300.0)',
+        'Row("t_vib_k", float, 301.0)',
     ),
     # A key written twice read as its last value, and a grid taken where one
     # temperature is meant
@@ -317,6 +317,21 @@ MUTANTS = (
         "ctlsim/scenario.py",
         "if key in seen:",
         "if False:",
+    ),
+    # Number syntax: an exponent float read as YAML 1.1 alone reads it (a
+    # string unless it has a signed exponent), and a string that reads as
+    # such a float dumped unquoted
+    (
+        "exponent-needs-sign",
+        "ctlsim/scenario.py",
+        "[eE][-+]?[0-9]+$",
+        "[eE][-+][0-9]+$",
+    ),
+    (
+        "exponent-dumped-plain",
+        "ctlsim/scenario.py",
+        "for _yaml in (_UniqueKeyLoader, _Dumper):",
+        "for _yaml in (_UniqueKeyLoader,):",
     ),
     (
         "single-temperature-grid",

@@ -17,9 +17,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from .ctls import Chirality, total_unitary
-from .propagator import ideal_schedule, run_protocol
+from .propagator import DEFAULT_STEPS_PER_STEP, ideal_schedule, run_protocol
 from .rotor import J_MAX, rotor_spectrum
 from .scenario import (
+    PURELY_ROTATIONAL,
+    RO_VIBRATIONAL,
     SCENARIO_PATH_ENV,
     ScenarioError,
     ScenarioFile,
@@ -28,14 +30,7 @@ from .scenario import (
     resolve_scenario_path,
     to_ctls_config,
 )
-from .transfer import (
-    PURELY_ROTATIONAL,
-    RO_VIBRATIONAL,
-    default_sweep_grid,
-    excess_sweep,
-    population_sweep,
-    yield_sweep,
-)
+from .transfer import default_sweep_grid, excess_sweep, population_sweep, yield_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -197,7 +192,7 @@ def build_parser() -> _Parser:
         "protocol", help="closed-form and propagated composite unitaries"
     )
     protocol.add_argument("--chirality", choices=("L", "R", "both"), default="both")
-    protocol.add_argument("--steps", type=_int_range(1), default=2000)
+    protocol.add_argument("--steps", type=_int_range(1), default=DEFAULT_STEPS_PER_STEP)
     add_common(protocol, _cmd_protocol)
 
     excess = subparsers.add_parser("excess", help="excess vs rotational temperature")

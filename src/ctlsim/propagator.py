@@ -65,6 +65,7 @@ __all__ = [
     "PulseSchedule",
     "ScheduleError",
     "DEFAULT_PEAK_RAD_S",
+    "DEFAULT_STEPS_PER_STEP",
     "pulse_area",
     "ideal_schedule",
     "step_couplings",
@@ -84,6 +85,7 @@ _AREA_TOL = 1e-8  # radians
 _CHUNK = 1024  # midpoints per Hamiltonian stack in propagate; bounds its memory
 
 DEFAULT_PEAK_RAD_S = 2.0 * np.pi * 1.25e6  # 100 ns quarter pulse
+DEFAULT_STEPS_PER_STEP = 2000  # time steps per protocol step, unless asked otherwise
 
 
 class ScheduleError(ValueError):
@@ -546,7 +548,7 @@ def _protocol_unitary(schedule: PulseSchedule, grid: TimeGrid) -> dict[Chirality
 
 
 def run_protocol(
-    schedule: PulseSchedule, chirality: Chirality, steps_per_step: int = 2000
+    schedule: PulseSchedule, chirality: Chirality, steps_per_step: int = DEFAULT_STEPS_PER_STEP
 ) -> np.ndarray:
     """Propagate the full three-step protocol with chirality-signed drives."""
     _check_areas(schedule)

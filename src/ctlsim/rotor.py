@@ -29,6 +29,7 @@ __all__ = [
     "RotorLevel",
     "J_MAX",
     "block_energies",
+    "check_j",
     "level_index",
     "rotor_levels",
     "rotor_spectrum",
@@ -77,10 +78,15 @@ class RotorLevel:
         level_index(self.j, self.tau)
 
 
-def level_index(j: int, tau: int) -> int:
-    """Index of |J_tau> among its block's ascending levels; the one check of J and tau."""
+def check_j(j: int) -> None:
+    """Raise ``ValueError`` unless ``J`` is non-negative."""
     if j < 0:
         raise ValueError(f"J must be non-negative, got {j}")
+
+
+def level_index(j: int, tau: int) -> int:
+    """Index of |J_tau> among its block's ascending levels; the one check of J and tau."""
+    check_j(j)
     if not -j <= tau <= j:
         raise ValueError(f"tau must lie in [-J, J], got tau={tau} for J={j}")
     if j > J_MAX:
@@ -130,8 +136,7 @@ def block_energies(j: int, constants: RotationalConstants) -> np.ndarray:
     array exists. Every caller shares the cached array, so it is returned
     read-only.
     """
-    if j < 0:
-        raise ValueError(f"J must be non-negative, got {j}")
+    check_j(j)
     spectra = []
     for diagonal, sub in _wang_blocks(j, constants):
         band = np.diag(diagonal)

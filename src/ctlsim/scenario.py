@@ -21,23 +21,17 @@ import yaml
 
 from .rotor import RotationalConstants
 from .thermal import Temperatures, VibrationalMode
-from .transfer import (
-    _MODES,
-    LABELINGS,
-    RO_VIBRATIONAL,
-    CtlsConfig,
-    check_labeling,
-    check_mode,
-    default_sweep_grid,
-    make_level,
-)
+from .transfer import LABELINGS, CtlsConfig, check_labeling, default_sweep_grid, make_level
 
 __all__ = [
+    "RO_VIBRATIONAL",
+    "PURELY_ROTATIONAL",
     "SCENARIO_PATH_ENV",
     "LevelSpec",
     "SweepSpec",
     "ScenarioFile",
     "ScenarioError",
+    "check_mode",
     "Row",
     "SCHEMA",
     "parse_scenario",
@@ -50,6 +44,11 @@ __all__ = [
 
 SCENARIO_PATH_ENV = "CTLS_SCENARIO_PATH"
 
+# The two kinds of loop, told apart by their levels' vibrational quanta
+RO_VIBRATIONAL = "ro_vibrational"
+PURELY_ROTATIONAL = "purely_rotational"
+_MODES = (RO_VIBRATIONAL, PURELY_ROTATIONAL)
+
 _T = TypeVar("_T")
 
 
@@ -59,6 +58,12 @@ class ScenarioError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+def check_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless ``mode`` names a loop mode."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -300,9 +305,10 @@ def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfi
 
     This is the one place where a loop rule's ``ValueError`` becomes a
     ``ScenarioError``: ``ctls.levels[i]`` names a bad level and
-    ``ctls.levels`` a bad combination of levels; under an overriding
-    ``mode`` its message names the loop that failed, since the scenario's
-    own loop passed at parse time. An unknown ``mode``
+    ``ctls.levels`` a bad combination of levels, either one that
+    ``CtlsConfig`` rejects or vibrational quanta that do not fit the mode;
+    under an overriding ``mode`` its message names the loop that failed,
+    since the scenario's own loop passed at parse time. An unknown ``mode``
     argument is the caller's error, not the scenario's, so it raises a
     plain ``ValueError``.
     """
@@ -319,7 +325,7 @@ def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfi
         entries = tuple(
             replace(entry, vib=excited if i else 0) for i, entry in enumerate(entries)
         )
-    levels = [
+    levels = tuple(
         _checked(
             f"ctls.levels[{i}]",
             make_level,
@@ -332,14 +338,25 @@ def to_ctls_config(scenario: ScenarioFile, mode: str | None = None) -> CtlsConfi
             scenario.labeling,
         )
         for i, entry in enumerate(entries)
-    ]
+    )
     try:
-        return CtlsConfig(target_mode, scenario.constants, scenario.vibrational_modes, tuple(levels))
+        config = CtlsConfig(scenario.constants, scenario.vibrational_modes, levels)
     except ValueError as exc:
         message = str(exc)
         if target_mode != scenario.mode:
             message += f" in the {target_mode} loop this command builds"
         raise ScenarioError("ctls.levels", message) from exc
+    # an overriding mode writes quanta that fit it, so only the scenario's own can fail
+    quanta = tuple(level.vib_quantum for level in levels)
+    if target_mode == RO_VIBRATIONAL and (quanta[0] != 0 or 0 in quanta[1:]):
+        raise ScenarioError(
+            "ctls.levels", f"{RO_VIBRATIONAL} loop needs vib quanta (0, >0, >0), got {quanta}"
+        )
+    if target_mode == PURELY_ROTATIONAL and quanta != (0, 0, 0):
+        raise ScenarioError(
+            "ctls.levels", f"{PURELY_ROTATIONAL} loop needs vib quanta (0, 0, 0), got {quanta}"
+        )
+    return config
 
 
 def bundled_scenario_path() -> Path:

@@ -1,9 +1,11 @@
 """End-to-end transfer experiments: thermal states through the protocol.
 
-Assembles the pieces: pick three ro-vibrational levels, populate them
-thermally, run the pulse protocol for both handednesses, and quantify the
-resulting enrichment. Sweep helpers generate the excess, population and
-yield curves against rotational temperature.
+Assembles the pieces: pick three distinct ro-vibrational levels, populate
+them thermally, run the pulse protocol for both handednesses, and quantify
+the resulting enrichment. Sweep helpers generate the excess, population and
+yield curves against rotational temperature. The kind of loop, which its
+levels' vibrational quanta fix, is the scenario's concern: here a loop is
+any three distinct levels.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .ctls import Chirality, total_unitary
 from .propagator import ideal_schedule, run_protocol
-from .rotor import RotationalConstants, RotorLevel, level_index, rotor_levels
+from .rotor import RotationalConstants, check_j, level_index, rotor_levels
 from .thermal import (
     RoVibLevel,
     Temperatures,
@@ -28,14 +30,10 @@ from .thermal import (
 )
 
 __all__ = [
-    "RO_VIBRATIONAL",
-    "PURELY_ROTATIONAL",
     "LABELINGS",
     "CtlsConfig",
-    "rotor_level_for_labels",
     "make_level",
     "check_labeling",
-    "check_mode",
     "final_states",
     "enantiomeric_excess",
     "excess_sweep",
@@ -44,31 +42,44 @@ __all__ = [
     "default_sweep_grid",
 ]
 
-RO_VIBRATIONAL = "ro_vibrational"
-PURELY_ROTATIONAL = "purely_rotational"
-_MODES = (RO_VIBRATIONAL, PURELY_ROTATIONAL)
-
 LABELINGS = ("tau", "ka_kc")
 
 # Bounds the sweep's temporaries: one partition walk holds points x (2J+1) floats.
 _MAX_POINTS = 10_000
 
 
-def rotor_level_for_labels(
+def check_labeling(labeling: str) -> None:
+    """Raise ``ValueError`` unless ``labeling`` names a level-label convention;
+    the message leaves the field to the caller, as a scenario names it."""
+    if labeling not in LABELINGS:
+        raise ValueError(f"must be one of {LABELINGS}, got {labeling!r}")
+
+
+def make_level(
     constants: RotationalConstants,
+    modes: Sequence[VibrationalMode],
+    vib: int,
     j: int,
     first: int,
     second: int,
     labeling: str,
-) -> RotorLevel:
-    """Resolve a rotor level from its two printed subscript digits.
+) -> RoVibLevel:
+    """Build a ro-vibrational level from its written quantum and digits.
 
-    Under ``tau`` the digits are read as (tau, M); under ``ka_kc`` the same
-    digits are read as (K_a, K_c), mapped through tau = K_a - K_c. Both
-    conventions agree on which J block is meant, they only reorder levels
-    within it.
+    The vibrational quantum excites the first declared mode. Under ``tau``
+    the two subscript digits are read as (tau, M); under ``ka_kc`` as
+    (K_a, K_c), mapped through tau = K_a - K_c. Both conventions agree on
+    which J block is meant, they only reorder levels within it.
     """
+    if vib > 0 and not modes:
+        raise ValueError("a vibrationally excited level requires a declared mode")
+    if vib > 0 and vib > modes[0].max_quanta:
+        raise ValueError(
+            f"vib quantum {vib} exceeds max_quanta {modes[0].max_quanta} "
+            f"of mode {modes[0].name!r}"
+        )
     check_labeling(labeling)
+    check_j(j)
     if labeling == "tau":
         tau = first
         if not -j <= second <= j:
@@ -81,66 +92,21 @@ def rotor_level_for_labels(
             )
         tau = ka - kc
     index = level_index(j, tau)  # before the block is built: J may be huge
-    return rotor_levels(j, constants)[index]
-
-
-def check_labeling(labeling: str) -> None:
-    """Raise ``ValueError`` unless ``labeling`` names a level-label convention;
-    the message leaves the field to the caller, as a scenario names it."""
-    if labeling not in LABELINGS:
-        raise ValueError(f"must be one of {LABELINGS}, got {labeling!r}")
-
-
-def check_mode(mode: str) -> None:
-    """Raise ``ValueError`` unless ``mode`` names a loop mode."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def make_level(
-    constants: RotationalConstants,
-    modes: Sequence[VibrationalMode],
-    vib: int,
-    j: int,
-    first: int,
-    second: int,
-    labeling: str,
-) -> RoVibLevel:
-    """Build a ro-vibrational level; the vibrational quantum excites the
-    first declared mode."""
-    if vib > 0 and not modes:
-        raise ValueError("a vibrationally excited level requires a declared mode")
-    if vib > 0 and vib > modes[0].max_quanta:
-        raise ValueError(
-            f"vib quantum {vib} exceeds max_quanta {modes[0].max_quanta} "
-            f"of mode {modes[0].name!r}"
-        )
     vib_energy_thz = vib * modes[0].frequency_thz if vib > 0 else 0.0
-    rot = rotor_level_for_labels(constants, j, first, second, labeling)
+    rot = rotor_levels(j, constants)[index]
     return RoVibLevel(vib_quantum=vib, vib_energy_thz=vib_energy_thz, rot=rot)
 
 
 @dataclass(frozen=True)
 class CtlsConfig:
-    """A concrete three-level loop choice for one molecule."""
+    """A three-level loop of one molecule: any three distinct levels."""
 
-    mode: str
     constants: RotationalConstants
     modes: tuple[VibrationalMode, ...]
     levels: tuple[RoVibLevel, RoVibLevel, RoVibLevel]
 
     def __post_init__(self) -> None:
-        check_mode(self.mode)
         check_loop_levels(self.levels)
-        quanta = tuple(level.vib_quantum for level in self.levels)
-        if self.mode == RO_VIBRATIONAL and (quanta[0] != 0 or 0 in quanta[1:]):
-            raise ValueError(
-                f"ro_vibrational loop needs vib quanta (0, >0, >0), got {quanta}"
-            )
-        if self.mode == PURELY_ROTATIONAL and quanta != (0, 0, 0):
-            raise ValueError(
-                f"purely_rotational loop needs vib quanta (0, 0, 0), got {quanta}"
-            )
 
     def populations(self, temps: Temperatures) -> np.ndarray:
         """Loop populations (p1, p2, p3) at one temperature pair, shape (3,)."""

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from ctlsim.rotor import RotationalConstants
-from ctlsim.scenario import bundled_scenario_path, parse_scenario
-from ctlsim.thermal import VibrationalMode
-from ctlsim.transfer import (
+from ctlsim.scenario import (
     PURELY_ROTATIONAL,
     RO_VIBRATIONAL,
-    CtlsConfig,
-    default_sweep_grid,
-    make_level,
+    bundled_scenario_path,
+    parse_scenario,
+    to_ctls_config,
 )
+from ctlsim.thermal import VibrationalMode
+from ctlsim.transfer import CtlsConfig, default_sweep_grid
 
 # 1,2-propanediol: A/2pi = 8.5244 GHz, B/2pi = 3.6354 GHz, C/2pi = 2.7887 GHz,
 # OH-stretch at 100.95 THz.
@@ -28,20 +28,9 @@ def bright_state() -> np.ndarray:
 
 
 def build_config(mode: str) -> CtlsConfig:
-    """The propanediol loop over |0_00>, |1_01>, |1_10| (tau labeling)."""
-    modes = (OH_STRETCH,)
-    excited = 1 if mode == RO_VIBRATIONAL else 0
-    levels = (
-        make_level(PROPANEDIOL, modes, 0, 0, 0, 0, "tau"),
-        make_level(PROPANEDIOL, modes, excited, 1, 0, 1, "tau"),
-        make_level(PROPANEDIOL, modes, excited, 1, 1, 0, "tau"),
-    )
-    return CtlsConfig(
-        mode=mode,
-        constants=PROPANEDIOL,
-        modes=modes,
-        levels=levels,
-    )
+    """The bundled propanediol loop over |0_00>, |1_01>, |1_10> (tau
+    labeling), as the scenario builds it in ``mode``."""
+    return to_ctls_config(parse_scenario(bundled_scenario_path()), mode)
 
 
 def paper_grid(**changes) -> np.ndarray:

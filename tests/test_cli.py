@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import ctlsim
 from ctlsim import cli
 from ctlsim.cli import EXIT_FAILURE, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+from ctlsim.propagator import run_protocol
 from ctlsim.scenario import bundled_scenario_path
 
 # sha256 of stdout for commands on the bundled scenario, shared with the benchmark
@@ -217,6 +219,10 @@ class TestProtocol:
         )
         assert code == EXIT_OK
         assert len(out.strip().split("\n")) == 19  # header + 2 x 9
+
+    def test_steps_default_is_run_protocols(self):
+        default = inspect.signature(run_protocol).parameters["steps_per_step"].default
+        assert cli.build_parser().parse_args(["protocol"]).steps == default
 
     # sha256 of the CSV on the bundled scenario: any drift in the propagator's
     # last bits changes these
@@ -646,6 +652,17 @@ class TestScenarioHandling:
         code, out, err = run_cli(capsys, "levels", "--scenario", str(path))
         assert (code, out) == (EXIT_SCHEMA, "")
         assert f"ctls.levels[2]: J must be at most 1000, got {j}" in err
+
+    @pytest.mark.parametrize("labeling", ["tau", "ka_kc"])
+    def test_negative_level_j_exit_3(self, capsys, tmp_path, labeling):
+        # named by the J rule, not by a digit that J = -1 leaves no room for
+        path = tmp_path / "negative-j.scenario"
+        level = "{vib: 0, J: -1, tau: 0, M: 0}"
+        text = SMALL_SWEEP.replace("{vib: 0, J: 0, tau: 0, M: 0}", level)
+        path.write_text(text + f"labeling: {labeling}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "populations", "--scenario", str(path))
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert err == "ctlsim: invalid scenario: ctls.levels[0]: J must be non-negative, got -1\n"
 
     def test_level_j_at_the_bound_parses(self, capsys, tmp_path):
         path = tmp_path / "j-1000.scenario"

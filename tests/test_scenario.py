@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from ctlsim.cli import EXIT_OK, EXIT_SCHEMA, main
 from ctlsim.scenario import (
+    PURELY_ROTATIONAL,
+    RO_VIBRATIONAL,
     SCHEMA,
     ScenarioError,
     _UniqueKeyLoader,
@@ -25,13 +27,10 @@ from ctlsim.scenario import (
 )
 from ctlsim.thermal import VibrationalMode
 from ctlsim.transfer import (
-    PURELY_ROTATIONAL,
-    RO_VIBRATIONAL,
     default_sweep_grid,
     excess_sweep,
     make_level,
     population_sweep,
-    rotor_level_for_labels,
     yield_sweep,
 )
 
@@ -259,7 +258,7 @@ class TestValidation:
     def test_empty_modes_valid_for_purely_rotational(self, tmp_path):
         scenario = parse_scenario(write(tmp_path, MINIMAL))
         config = to_ctls_config(scenario)
-        assert config.mode == PURELY_ROTATIONAL
+        assert [lv.vib_quantum for lv in config.levels] == [0, 0, 0]
 
     def test_bad_constant_ordering_names_field(self, tmp_path):
         text = MINIMAL.replace("{A: 3.0, B: 2.0, C: 1.0}", "{A: 1.0, B: 2.0, C: 1.0}")
@@ -761,8 +760,7 @@ class TestModeOverride:
     def test_to_purely_rotational(self):
         scenario = parse_scenario(bundled_scenario_path())
         config = to_ctls_config(scenario, PURELY_ROTATIONAL)
-        assert config.mode == PURELY_ROTATIONAL
-        assert all(lv.vib_quantum == 0 for lv in config.levels)
+        assert [lv.vib_quantum for lv in config.levels] == [0, 0, 0]
         # rotational labels preserved
         assert config.levels[2].rot.energy_ghz == pytest.approx(12.1598, abs=1e-9)
 
@@ -791,6 +789,42 @@ class TestModeOverride:
         with pytest.raises(ScenarioError):
             to_ctls_config(scenario, RO_VIBRATIONAL)
 
+    @given(scenario_mappings(), st.booleans())
+    @settings(deadline=None, max_examples=100)
+    def test_override_keeps_the_written_rotational_levels(self, data, collide):
+        levels = data["ctls"]["levels"]
+        modes = data["molecule"]["vibrational_modes"]
+        if collide and data["ctls"]["mode"] == RO_VIBRATIONAL and modes[0]["max_quanta"] >= 2:
+            # level 3 on level 2's rotational level, one quantum apart: a
+            # distinct level until the purely rotational loop grounds both
+            levels[2] = dict(levels[1], vib=1 if levels[1]["vib"] != 1 else 2)
+        scenario = scenario_from_mapping(data)
+        written = [
+            (lv.j, lv.tau if scenario.labeling == "tau" else lv.tau - lv.m)
+            for lv in scenario.levels
+        ]
+        declared = to_ctls_config(scenario)
+        assert [(lv.rot.j, lv.rot.tau) for lv in declared.levels] == written
+        for mode in (RO_VIBRATIONAL, PURELY_ROTATIONAL):
+            if mode == scenario.mode:
+                assert to_ctls_config(scenario, mode) == declared
+                continue
+            quanta = (0, 1, 1) if mode == RO_VIBRATIONAL else (0, 0, 0)
+            if mode == RO_VIBRATIONAL and not scenario.vibrational_modes:
+                field = "molecule.vibrational_modes"
+                message = "ro_vibrational mode requires at least one vibrational mode"
+            elif len(set(zip(quanta, written))) < 3:
+                field = "ctls.levels"
+                message = f"the three levels must be distinct in the {mode} loop this command builds"
+            else:
+                config = to_ctls_config(scenario, mode)
+                assert tuple(lv.vib_quantum for lv in config.levels) == quanta
+                assert [lv.rot for lv in config.levels] == [lv.rot for lv in declared.levels]
+                continue
+            with pytest.raises(ScenarioError) as err:
+                to_ctls_config(scenario, mode)
+            assert (err.value.field, str(err.value)) == (field, f"{field}: {message}")
+
     def test_unknown_mode_is_the_callers_error(self):
         scenario = parse_scenario(bundled_scenario_path())
         expected = r"mode must be one of \('ro_vibrational', 'purely_rotational'\), got 'bogus'"
@@ -808,7 +842,6 @@ WITHOUT_SCHEMA_DEFAULT = [
     (default_sweep_grid, (), "'t_min_k', 't_max_k', 'points', and 'log_scale'"),
     (VibrationalMode, ("m", 30.0), "'max_quanta'"),
     (make_level, (PROPANEDIOL, (OH_STRETCH,), 0, 0, 0, 0), "'labeling'"),
-    (rotor_level_for_labels, (PROPANEDIOL, 1, 0, 1), "'labeling'"),
 ]
 
 

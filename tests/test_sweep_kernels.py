@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctlsim.rotor import RotationalConstants, RotorLevel, block_energies
+from ctlsim.scenario import PURELY_ROTATIONAL, RO_VIBRATIONAL
 from ctlsim.thermal import (
     K_PER_GHZ,
     ConvergenceError,
@@ -28,8 +29,6 @@ from ctlsim.thermal import (
 )
 from ctlsim.transfer import (
     LABELINGS,
-    PURELY_ROTATIONAL,
-    RO_VIBRATIONAL,
     CtlsConfig,
     enantiomeric_excess,
     excess_sweep,
@@ -111,7 +110,7 @@ def loop_configs(draw, smallest=0.1, largest=100.0):
         make_level(constants, (vib_mode,), draw(excited), j, first, second, labeling)
         for j, first, second, _ in picks
     ]
-    return CtlsConfig(mode, constants, (vib_mode,), tuple(levels))
+    return CtlsConfig(constants, (vib_mode,), tuple(levels))
 
 
 T_VIB = st.one_of(st.just(0.0), st.floats(1.0, 1000.0))
@@ -211,7 +210,7 @@ def test_excess_undefined_on_any_row_raises(grid, t_vib):
         make_level(PROPANEDIOL, modes, 0, 0, 0, 0, "tau"),
         make_level(PROPANEDIOL, modes, 0, 1, 1, 0, "tau"),
     )
-    config = CtlsConfig(PURELY_ROTATIONAL, PROPANEDIOL, modes, levels)
+    config = CtlsConfig(PROPANEDIOL, modes, levels)
     with pytest.raises(ValueError, match="excess undefined: levels 1 and 3 are both unoccupied"):
         enantiomeric_excess(population_sweep(config, grid, t_vib))
     excess = excess_sweep(config, grid, t_vib)
@@ -287,7 +286,7 @@ def test_overflowing_rotational_temperature_gives_the_cold_limit():
     levels = tuple(
         make_level(PROPANEDIOL, modes, 0, j, tau, 0, "tau") for j, tau in ((1, 0), (1, 1), (2, 0))
     )
-    config = CtlsConfig(PURELY_ROTATIONAL, PROPANEDIOL, modes, levels)
+    config = CtlsConfig(PROPANEDIOL, modes, levels)
     tiny = population_sweep(config, [1.0, 1e-310], 300.0)[1]
     assert (tiny == population_sweep(config, [0.0], 300.0)[0]).all()
     assert (tiny == [1.0, 0.0, 0.0]).all()

@@ -2,14 +2,20 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctlsim.rotor import RotationalConstants
-from ctlsim.thermal import K_PER_GHZ, Temperatures
-from ctlsim.transfer import (
+from ctlsim.scenario import (
     PURELY_ROTATIONAL,
     RO_VIBRATIONAL,
+    ScenarioError,
+    bundled_scenario_path,
+    scenario_from_mapping,
+)
+from ctlsim.thermal import K_PER_GHZ, Temperatures
+from ctlsim.transfer import (
     CtlsConfig,
     default_sweep_grid,
     enantiomeric_excess,
@@ -17,7 +23,6 @@ from ctlsim.transfer import (
     final_states,
     make_level,
     population_sweep,
-    rotor_level_for_labels,
     yield_sweep,
 )
 
@@ -42,46 +47,52 @@ def triples_strategy():
 class TestLevelLabeling:
     def test_tau_reading(self):
         # |1_01| digits read as (tau, M) = (0, 1): second level of the J=1 block
-        level = rotor_level_for_labels(PROPANEDIOL, 1, 0, 1, "tau")
+        level = make_level(PROPANEDIOL, (), 0, 1, 0, 1, "tau").rot
         assert level.tau == 0
         assert level.energy_ghz == pytest.approx(11.3131, abs=1e-9)  # A + C
 
     def test_ka_kc_reading(self):
         # same digits read as (K_a, K_c) = (0, 1): tau = -1, the B + C level
-        level = rotor_level_for_labels(PROPANEDIOL, 1, 0, 1, "ka_kc")
+        level = make_level(PROPANEDIOL, (), 0, 1, 0, 1, "ka_kc").rot
         assert level.tau == -1
         assert level.energy_ghz == pytest.approx(6.4241, abs=1e-9)
 
     def test_highest_level_same_in_both(self):
         # |1_10|: tau reading gives tau=1, ka_kc reading gives tau = 1 - 0 = 1
         for labeling in ("tau", "ka_kc"):
-            level = rotor_level_for_labels(PROPANEDIOL, 1, 1, 0, labeling)
+            level = make_level(PROPANEDIOL, (), 0, 1, 1, 0, labeling).rot
             assert level.energy_ghz == pytest.approx(12.1598, abs=1e-9)  # A + B
 
     def test_invalid_ka_kc_rejected(self):
         # K_a + K_c must equal J or J + 1
         with pytest.raises(ValueError):
-            rotor_level_for_labels(PROPANEDIOL, 1, 0, 0, "ka_kc")
+            make_level(PROPANEDIOL, (), 0, 1, 0, 0, "ka_kc")
 
     def test_ka_kc_middle_level(self):
-        level = rotor_level_for_labels(PROPANEDIOL, 1, 1, 1, "ka_kc")
+        level = make_level(PROPANEDIOL, (), 0, 1, 1, 1, "ka_kc").rot
         assert level.tau == 0
         assert level.energy_ghz == pytest.approx(11.3131, abs=1e-9)
 
     def test_invalid_m_rejected(self):
         with pytest.raises(ValueError):
-            rotor_level_for_labels(PROPANEDIOL, 1, 0, 2, "tau")
+            make_level(PROPANEDIOL, (), 0, 1, 0, 2, "tau")
 
     @pytest.mark.parametrize("j, tau", [(1, -3), (1, 2), (10**7, 10**8)])
     def test_tau_out_of_range_rejected_before_lookup(self, j, tau):
         # tau = -3 would wrap to a valid negative index, and J = 10**7 would
         # need a petabyte block if the labels were checked after the lookup
         with pytest.raises(ValueError, match=rf"tau must lie in \[-J, J\], got tau={tau} for J={j}"):
-            rotor_level_for_labels(PROPANEDIOL, j, tau, 0, "tau")
+            make_level(PROPANEDIOL, (), 0, j, tau, 0, "tau")
+
+    @pytest.mark.parametrize("labeling", ["tau", "ka_kc"])
+    def test_negative_j_named_before_the_digits(self, labeling):
+        # read as digits first, J = -1 would fail on M or on (K_a, K_c)
+        with pytest.raises(ValueError, match=r"^J must be non-negative, got -1$"):
+            make_level(PROPANEDIOL, (), 0, -1, 0, 0, labeling)
 
     def test_unknown_labeling_rejected(self):
         with pytest.raises(ValueError):
-            rotor_level_for_labels(PROPANEDIOL, 1, 0, 0, "other")
+            make_level(PROPANEDIOL, (), 0, 1, 0, 0, "other")
 
     def test_excited_level_requires_mode(self):
         with pytest.raises(ValueError):
@@ -95,38 +106,53 @@ class TestLevelLabeling:
             make_level(PROPANEDIOL, (OH_STRETCH,), 6, 1, 0, 1, "tau")
 
 
+def bundled_loop(mode, quanta):
+    """The bundled scenario with ``mode`` and its levels' vib quanta set to
+    ``quanta``, as a raw mapping."""
+    data = yaml.safe_load(bundled_scenario_path().read_text(encoding="utf-8"))
+    data["ctls"]["mode"] = mode
+    for level, vib in zip(data["ctls"]["levels"], quanta):
+        level["vib"] = vib
+    return data
+
+
+def assert_loop_rejected(data, message):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_mapping(data)
+    assert err.value.field == "ctls.levels"
+    assert str(err.value) == f"ctls.levels: {message}"
+
+
 class TestCtlsConfig:
+    # the loop's kind is the scenario's: its quanta rule is checked there
     def test_rovib_pattern_enforced(self):
-        modes = (OH_STRETCH,)
-        levels = (
-            make_level(PROPANEDIOL, modes, 0, 0, 0, 0, "tau"),
-            make_level(PROPANEDIOL, modes, 0, 1, 0, 1, "tau"),
-            make_level(PROPANEDIOL, modes, 1, 1, 1, 0, "tau"),
-        )
-        with pytest.raises(ValueError):
-            CtlsConfig(RO_VIBRATIONAL, PROPANEDIOL, modes, levels)
+        message = "ro_vibrational loop needs vib quanta (0, >0, >0), got (0, 0, 1)"
+        assert_loop_rejected(bundled_loop(RO_VIBRATIONAL, (0, 0, 1)), message)
 
     @pytest.mark.parametrize("quanta", [(0, 0, 1), (0, 1, 0), (1, 1, 1)])
     def test_rovib_quanta_rule_names_the_quanta(self, quanta):
         # the ground level unexcited and both others excited, whatever the labels
+        message = f"ro_vibrational loop needs vib quanta (0, >0, >0), got {quanta}"
+        assert_loop_rejected(bundled_loop(RO_VIBRATIONAL, quanta), message)
+
+    def test_purely_rotational_pattern_enforced(self):
+        message = "purely_rotational loop needs vib quanta (0, 0, 0), got (0, 1, 1)"
+        assert_loop_rejected(bundled_loop(PURELY_ROTATIONAL, (0, 1, 1)), message)
+
+    @pytest.mark.parametrize("quanta", [(0, 0, 1), (1, 0, 2), (2, 1, 0)])
+    def test_any_three_distinct_levels_build(self, quanta):
+        # neither loop kind: the config and its sweeps take them as they are
         modes = (OH_STRETCH,)
         labels = ((0, 0, 0), (1, 0, 1), (1, 1, 0))
         levels = tuple(
             make_level(PROPANEDIOL, modes, v, *l, "tau") for v, l in zip(quanta, labels)
         )
-        message = f"ro_vibrational loop needs vib quanta (0, >0, >0), got {quanta}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            CtlsConfig(RO_VIBRATIONAL, PROPANEDIOL, modes, levels)
-
-    def test_purely_rotational_pattern_enforced(self):
-        modes = (OH_STRETCH,)
-        levels = (
-            make_level(PROPANEDIOL, modes, 0, 0, 0, 0, "tau"),
-            make_level(PROPANEDIOL, modes, 1, 1, 0, 1, "tau"),
-            make_level(PROPANEDIOL, modes, 1, 1, 1, 0, "tau"),
-        )
-        with pytest.raises(ValueError):
-            CtlsConfig(PURELY_ROTATIONAL, PROPANEDIOL, modes, levels)
+        config = CtlsConfig(PROPANEDIOL, modes, levels)
+        assert [lv.vib_quantum for lv in config.levels] == list(quanta)
+        grid = [1.0, 10.0, 300.0]
+        assert np.isfinite(excess_sweep(config, grid, 300.0)).all()
+        assert population_sweep(config, grid, 300.0).sum(axis=1) == pytest.approx(1.0)
+        assert yield_sweep(config, grid, 300.0).shape == (3, 4)
 
     def test_valid_configs_build(self, rovib_config, rotational_config):
         assert rovib_config.levels[0].vib_quantum == 0
@@ -226,7 +252,6 @@ class TestEnantiomericExcess:
             A=2 * PROPANEDIOL.A, B=2 * PROPANEDIOL.B, C=2 * PROPANEDIOL.C
         )
         scaled_config = CtlsConfig(
-            mode=PURELY_ROTATIONAL,
             constants=scaled,
             modes=(OH_STRETCH,),
             levels=tuple(

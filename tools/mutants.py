@@ -346,8 +346,9 @@ MUTANTS = (
         "enumerate(labels, start=2)",
         "enumerate(labels, start=1)",
     ),
-    # Loop and sweep rules: the sweep's point bounds, the ladder's top quantum
-    # and either half of the ro-vibrational quanta rule
+    # Loop and sweep rules: the sweep's point bounds, the ladder's top quantum,
+    # either half of the ro-vibrational quanta rule, the purely rotational
+    # quanta rule, and a negative J left for the digit checks to report
     (
         "sweep-one-point",
         "ctlsim/transfer.py",
@@ -368,15 +369,27 @@ MUTANTS = (
     ),
     (
         "rovib-ground-excited",
-        "ctlsim/transfer.py",
+        "ctlsim/scenario.py",
         "(quanta[0] != 0 or 0 in quanta[1:])",
         "(0 in quanta[1:])",
     ),
     (
         "rovib-upper-unexcited",
-        "ctlsim/transfer.py",
+        "ctlsim/scenario.py",
         "(quanta[0] != 0 or 0 in quanta[1:])",
         "(quanta[0] != 0)",
+    ),
+    (
+        "rotational-quanta-unchecked",
+        "ctlsim/scenario.py",
+        "if target_mode == PURELY_ROTATIONAL and quanta != (0, 0, 0):",
+        "if False:",
+    ),
+    (
+        "j-checked-after-digits",
+        "ctlsim/transfer.py",
+        "    check_labeling(labeling)\n    check_j(j)\n",
+        "    check_labeling(labeling)\n",
     ),
 )
 
